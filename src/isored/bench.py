@@ -139,14 +139,19 @@ def _quartiles(values):
 def summarize(records):
     """Medians and quartiles of the trial ratios plus the residual win rate.
 
-    Ratios are taken over trials where both solves produced finite numbers.
+    Trials fall into three counts: converged, not converged (both solves gave
+    finite numbers, but one stopped at ``max_iters``) and failed (a solve
+    raised or gave non-finite numbers).  Ratios are taken over trials where
+    both solves produced finite numbers.
     """
     if not records:
         raise EmptyInput("no benchmark records to summarize")
     ok = [r for r in records if r.ok]
+    stalled = sum(any(f.endswith("max_iters_exceeded") for f in r.flags) for r in ok)
     out = {
         "trials": len(records),
-        "convergent_trials": len(ok),
+        "converged_trials": len(ok) - stalled,
+        "not_converged_trials": stalled,
         "failed_trials": len(records) - len(ok),
     }
     if ok:
@@ -161,7 +166,8 @@ def summarize(records):
 def format_summary(summary):
     lines = [
         f"trials            : {summary['trials']} "
-        f"({summary['convergent_trials']} convergent, {summary['failed_trials']} failed)"
+        f"({summary['converged_trials']} converged, {summary['not_converged_trials']} not"
+        f" converged, {summary['failed_trials']} failed)"
     ]
     for key in ("rho_i", "t2_over_t1", "e2_over_e1", "d"):
         if key in summary:

@@ -88,10 +88,6 @@ def gen_sparse_stochastic(cfg):
     return StochasticMatrix(best_storage(mat))
 
 
-def _column_constant(column, width):
-    return np.tile(np.asarray(column, dtype=np.float64).reshape(-1, 1), (1, width))
-
-
 def make_two_block(a, p, B, variant="padded"):
     """Stochastic matrix built around a scaled stochastic block ``q B``.
 

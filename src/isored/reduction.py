@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .core import (
+    SPARSE_DENSITY_THRESHOLD,
     IndexSet,
     NonNegativeMatrix,
     ProbabilityVector,
@@ -98,21 +98,154 @@ def _dense_shifted_solver(F):
     return (lambda B: sla.lu_solve((lu, piv), B, check_finite=False)), cond
 
 
-def _sparse_shifted_solver(F):
-    F = F.tocsc()
-    anorm = np.abs(F).sum(axis=0).max() if F.nnz else 0.0
-    try:
-        lu = spla.splu(F, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SingularElimination(f"shifted block is exactly singular: {exc}") from exc
-    op = spla.LinearOperator(
-        F.shape,
-        matvec=lu.solve,
-        rmatvec=lambda x: lu.solve(x, trans="T"),
-        matmat=lu.solve,
-    )
-    cond = anorm * spla.onenormest(op)
-    return lu.solve, cond
+def _csr(shape, rows, cols, vals):
+    """CSR matrix from entries listed in non-decreasing row order."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)
+
+
+def _independent_set(core, rows, cols):
+    """Greedy maximal independent set of an off-diagonal pattern on ``core``.
+
+    ``rows``/``cols`` list the off-diagonal entries among core vertices, in
+    row order.  Vertices are visited by ascending degree (entries in their
+    row and column), ties by index, so the set is deterministic.  Returns the
+    vertices in ascending order.
+    """
+    n = core.size
+    out_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=out_ptr[1:])
+    in_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=n), out=in_ptr[1:])
+    cand = np.flatnonzero(core)
+    degree = np.diff(out_ptr) + np.diff(in_ptr)
+    order = cand[np.argsort(degree[cand], kind="stable")]
+    outs, ins = cols.tolist(), rows[np.argsort(cols)].tolist()
+    out_ptr, in_ptr = out_ptr.tolist(), in_ptr.tolist()
+    blocked = bytearray(n)
+    taken = []
+    for k in order.tolist():
+        if not blocked[k]:
+            taken.append(k)
+            for j in outs[out_ptr[k] : out_ptr[k + 1]]:
+                blocked[j] = 1
+            for j in ins[in_ptr[k] : in_ptr[k + 1]]:
+                blocked[j] = 1
+    return np.sort(np.array(taken, dtype=np.intp))
+
+
+def _staged_schur(data, keep, drop, lam):
+    """Sparse branch of :func:`_schur`: peel independent sets, then a dense core.
+
+    Works in local numbering, eliminated vertices ``0..d-1`` then kept ones,
+    on the rows of the eliminated vertices only: the kept rows enter once, in
+    ``R = A[S,:] @ [lift; I]``.
+    """
+    n, d, s = data.shape[0], drop.size, keep.size
+    loc = np.empty(n, dtype=np.intp)
+    loc[drop] = np.arange(d)
+    loc[keep] = d + np.arange(s)
+    A = data.tocsr()
+    M = A[drop]
+    M = sp.csr_matrix((M.data, loc[M.indices], M.indptr), shape=(d, n))
+    top = A[keep]
+    top = sp.csr_matrix((top.data, loc[top.indices], top.indptr), shape=(s, n))
+
+    core = np.zeros(n, dtype=bool)
+    core[:d] = True
+    rows = np.repeat(np.arange(d), np.diff(M.indptr))
+    cols, vals = M.indices, M.data
+    diag = np.zeros(d)
+    off = rows != cols
+    diag[rows[~off]] = vals[~off]
+    block = off & (cols < d)
+    anorm = (np.bincount(cols[block], vals[block], minlength=d) + np.abs(lam - diag)).max()
+
+    f = core.astype(np.float64)  # right-hand side of (lam I - B)^T y = 1, folded forward
+    slot = np.empty(n, dtype=np.intp)
+    levels = []
+    while True:
+        q = np.count_nonzero(core)
+        within = core[rows] & core[cols]
+        if q == 0 or np.count_nonzero(within) >= SPARSE_DENSITY_THRESHOLD * q * q:
+            break
+        within &= off
+        P = _independent_set(core, rows[within], cols[within])
+        piv = lam - diag[P]
+        if not np.all(piv > 0):
+            raise SingularElimination(
+                f"non-positive pivot {piv.min():.3e} in the eliminated block;"
+                " the eliminated set traps an essential class",
+                condition=np.inf,
+            )
+        peel = np.zeros(n, dtype=bool)
+        peel[P] = True
+        core[P] = False
+        slot[P] = np.arange(P.size)
+        out = peel[rows] & off
+        into = peel[cols] & off
+        r_out, c_out = slot[rows[out]], cols[out]
+        w = vals[out] / piv[r_out]
+        r_in, c_in, v_in = rows[into], slot[cols[into]], vals[into]
+        W = _csr((P.size, n), r_out, c_out, w)  # diag(1/piv) M[P,T]
+        V = _csr((d, P.size), r_in, c_in, v_in)  # M[T,P]
+        f_P = f[P]
+        f += np.bincount(c_out, w * f_P[r_out], minlength=n)
+        levels.append((P, piv, W, (r_in, c_in, v_in), f_P))
+        rest = ~(peel[rows] | peel[cols])
+        M = _csr((d, n), rows[rest], cols[rest], vals[rest]) + V @ W
+        rows = np.repeat(np.arange(d), np.diff(M.indptr))
+        cols, vals = M.indices, M.data
+        off = rows != cols
+        diag[rows[~off]] = vals[~off]
+
+    Q = np.flatnonzero(core)
+    q = Q.size
+    at = np.empty(n, dtype=np.intp)
+    at[Q] = np.arange(q)
+    at[d:] = q + np.arange(s)
+    r_at, c_at = at[rows], at[cols]
+    inner = c_at < q
+    G = np.zeros((q, q), order="F")  # lam I - M[Q,Q], factored in place
+    G.T.flat[c_at[inner] * q + r_at[inner]] = -vals[inner]
+    G.T.flat[:: q + 1] += lam
+    C = np.zeros((q, s), order="F")  # M[Q,S], solved in place
+    C.T.flat[(c_at[~inner] - q) * q + r_at[~inner]] = vals[~inner]
+    y = np.zeros(d)
+    if q:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # exactly singular -> non-finite y below
+            lu = sla.lu_factor(G, overwrite_a=True, check_finite=False)
+        y[Q] = sla.lu_solve(lu, f[Q], trans=1, check_finite=False)
+    for P, piv, _, (r_in, c_in, v_in), f_P in reversed(levels):
+        y[P] = (f_P + np.bincount(c_in, v_in * y[r_in], minlength=P.size)) / piv
+    cond = anorm * np.abs(y).max()
+    _check_condition(cond)
+
+    X = np.zeros((n, s))
+    X[d:] = np.eye(s)
+    if q:
+        X[Q] = sla.lu_solve(lu, C, overwrite_b=True, check_finite=False)
+    for P, _, W, _, _ in reversed(levels):
+        X[P] = W @ X
+    lift = X[:d]
+    _check_finite(lift, cond)
+    return top @ X, lift, cond
+
+
+def _check_condition(cond):
+    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
+        raise SingularElimination(
+            f"condition estimate {cond:.3e} exceeds {SINGULAR_CONDITION:.0e};"
+            " the eliminated set traps an essential class",
+            condition=cond,
+        )
+
+
+def _check_finite(lift, cond):
+    if not np.all(np.isfinite(lift)):
+        raise SingularElimination("shifted block solve produced non-finite values", condition=cond)
 
 
 def _schur(data, keep, drop, lam):
@@ -120,28 +253,38 @@ def _schur(data, keep, drop, lam):
 
     Returns ``(R_raw, lift, cond)`` with dense arrays regardless of the input
     storage; fill-in makes a sparse result pointless.
+
+    Dense input takes one dense LU of ``B - lam I`` (``B = data[~S,~S]``) and
+    a LAPACK estimate of its 1-norm condition number.  Sparse input is
+    reduced in stages, since reductions compose: while the still-eliminated
+    block is sparser than ``SPARSE_DENSITY_THRESHOLD``, a maximal independent
+    set P of its off-diagonal pattern is eliminated in one step,
+
+        M <- M[T,T] + M[T,P] diag(1/(lam - m_pp)) M[P,T],
+
+    which is exact and adds no fill inside P, because ``M[P,P]`` is diagonal.
+    The peel needs no pivoting: ``lam I - B`` is column diagonally dominant
+    (for ``lam = 1`` and a stochastic matrix; for the dominant eigenvalue of a
+    non-negative one, after the diagonal Perron scaling), and every Schur
+    complement inherits that.  The remaining core is solved with a dense LU,
+    and the lift is folded back level by level with ``X[P] = W @ X[T]``,
+    ``W = diag(1/(lam - m_pp)) M[P,T]``.  ``lam I - B`` is then a nonsingular
+    M-matrix with a non-negative inverse, so its 1-norm condition number is
+    exact rather than estimated: ``||(lam I - B)^-1||_1 = max|y|`` with
+    ``(lam I - B)^T y = 1``, solved through the same levels and one
+    transposed solve on the core.  ``max|y|``, not ``max y``: a numerically
+    singular block can return a hugely negative ``y``.
     """
     if sp.issparse(data):
-        B = data[drop][:, drop]
-        C = data[drop][:, keep].toarray()
-        D = data[keep][:, drop]
-        E = data[keep][:, keep].toarray()
-        solve, cond = _sparse_shifted_solver(B - lam * sp.identity(drop.size, format="csc"))
-    else:
-        B = data[np.ix_(drop, drop)]
-        C = data[np.ix_(drop, keep)]
-        D = data[np.ix_(keep, drop)]
-        E = data[np.ix_(keep, keep)]
-        solve, cond = _dense_shifted_solver(B - lam * np.eye(drop.size))
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-        raise SingularElimination(
-            f"condition estimate {cond:.3e} exceeds {SINGULAR_CONDITION:.0e};"
-            " the eliminated set traps an essential class",
-            condition=cond,
-        )
+        return _staged_schur(data, keep, drop, lam)
+    B = data[np.ix_(drop, drop)]
+    C = data[np.ix_(drop, keep)]
+    D = data[np.ix_(keep, drop)]
+    E = data[np.ix_(keep, keep)]
+    solve, cond = _dense_shifted_solver(B - lam * np.eye(drop.size))
+    _check_condition(cond)
     lift = -solve(C)
-    if not np.all(np.isfinite(lift)):
-        raise SingularElimination("shifted block solve produced non-finite values", condition=cond)
+    _check_finite(lift, cond)
     R_raw = E + D @ lift
     return R_raw, lift, cond
 
@@ -150,7 +293,9 @@ def reduce_at(M, S, lam=1.0):
     """Schur reduction of a general square matrix at an arbitrary shift.
 
     No stochastic postprocessing: returns the raw reduced array.  Used for
-    reductions of non-negative matrices at their dominant eigenvalue.
+    reductions of non-negative matrices at their dominant eigenvalue.  Sparse
+    input needs ``lam I - M[~S,~S]`` to be a nonsingular M-matrix, as it is
+    at that shift; otherwise :class:`SingularElimination` is raised.
     """
     data = M.data if isinstance(M, NonNegativeMatrix) else np.asarray(M, dtype=np.float64)
     n = data.shape[0]

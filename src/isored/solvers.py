@@ -31,8 +31,10 @@ from .reduction import (
     select_subset,
 )
 
-#: reduced systems up to this size go to the direct solver
-DIRECT_SIZE_LIMIT = 200
+#: reduced systems up to this size go to the direct solver; on reduced Burr
+#: chains the dense solve beat power iteration in median time at every size
+#: measured (200 to 2400), and power iteration can stop 0.23 (L1) short
+DIRECT_SIZE_LIMIT = 2000
 MAX_REDUCTION_ATTEMPTS = 5
 
 

@@ -6,6 +6,7 @@ import pytest
 from isored.bench import (
     BenchRecord,
     RunConfig,
+    format_summary,
     read_csv,
     run_comparison,
     run_trial,
@@ -78,6 +79,19 @@ class TestSummarize:
         s = summarize([r])
         assert s["t2_over_t1"] == (0.5, 0.5, 0.5)
         assert s["frac_e2_le_e1"] == 1.0
+
+    def test_max_iters_not_counted_as_converged(self):
+        nan = float("nan")
+        good = BenchRecord(rho_i=0.9, t1=2.0, t2=1.0, e1=1e-12, e2=1e-13, d=1e-10)
+        stalled = BenchRecord(rho_i=0.99, t1=9.0, t2=1.0, e1=1e-7, e2=1e-13, d=1e-6,
+                              flags=("baseline:max_iters_exceeded",))
+        scheme_stalled = BenchRecord(rho_i=0.99, t1=2.0, t2=1.0, e1=1e-12, e2=1e-7, d=1e-6,
+                                     flags=("scheme:max_iters_exceeded",))
+        failed = BenchRecord(rho_i=1.0, t1=0.1, t2=0.1, e1=nan, e2=nan, d=nan,
+                             flags=("scheme_failed:SingularElimination",))
+        s = summarize([good, stalled, scheme_stalled, failed])
+        assert (s["converged_trials"], s["not_converged_trials"], s["failed_trials"]) == (1, 2, 1)
+        assert "1 converged, 2 not converged, 1 failed" in format_summary(s)
 
     def test_identical_records_zero_iqr(self):
         r = BenchRecord(rho_i=0.9, t1=2.0, t2=1.0, e1=1e-12, e2=1e-13, d=1e-10)

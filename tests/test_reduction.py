@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from isored.core import IndexSet, StochasticMatrix, validate_stochastic
 from isored.errors import (
@@ -8,7 +9,9 @@ from isored.errors import (
     NoViablePivot,
     SingularElimination,
 )
+from isored.randgen import BurrConfig, SparseGenConfig, gen_sparse_stochastic, make_banded
 from isored.reduction import (
+    SINGULAR_CONDITION,
     FirstS,
     PivotGreedy,
     RandomS,
@@ -105,8 +108,7 @@ class TestReduceBlock:
         assert diameter_tau(rec.R) <= diameter_tau(example3)
 
     def test_sparse_input_dense_output(self):
-        import scipy.sparse as sp
-
+        # complete pattern: the staged path peels nothing and solves it all dense
         rng = np.random.default_rng(3)
         n = 60
         A = rand_stochastic(rng, n, uniform_mix=0.01)
@@ -117,6 +119,95 @@ class TestReduceBlock:
         assert not rec_s.R.is_sparse
         np.testing.assert_allclose(rec_s.R.dense, rec_d.R.dense, atol=1e-12)
         np.testing.assert_allclose(rec_s.lift, rec_d.lift, atol=1e-12)
+
+
+def _burr(n, nnz, seed, k):
+    gen_seed = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+    cfg = SparseGenConfig(n=n, nnz_per_col=nnz, burr=BurrConfig(0.2), seed=gen_seed)
+    return gen_sparse_stochastic(cfg), gen_seed
+
+
+def _staged_cases():
+    """Sparse chains with a random kept set of a tenth of the vertices."""
+    for n in (200, 500):
+        for nnz in (2, 4, 8):
+            for k in range(3):
+                A, gen_seed = _burr(n, nnz, 11, k)
+                yield A, select_subset(A, RandomS(n // 10, gen_seed + 1))
+    for n, m in ((200, 2), (300, 3), (400, 5)):
+        A = StochasticMatrix(sp.csc_matrix(make_banded(n, m, seed=n).dense))
+        yield A, select_subset(A, RandomS(n // 10, m))
+    # eliminated vertices feed only kept ones: one level peels the whole block
+    rng = np.random.default_rng(4)
+    n, s = 200, 20
+    D = np.zeros((n, n))
+    for j in range(n):
+        if j < s:
+            D[rng.choice(n, 4, replace=False), j] = rng.random(4) + 0.1
+        else:
+            D[j, j] = 0.3
+            D[rng.choice(s, 2, replace=False), j] = 0.35
+    yield StochasticMatrix(sp.csc_matrix(D / D.sum(axis=0))), IndexSet(range(s), n)
+
+
+class TestStagedElimination:
+    """``reduce_block`` on sparse input: independent-set peel plus dense core."""
+
+    def test_matches_dense_branch(self):
+        compared = 0
+        for A, S in _staged_cases():
+            assert A.is_sparse
+            dense = StochasticMatrix(A.dense)
+            try:
+                ref = reduce_block(dense, S)
+            except SingularElimination:
+                with pytest.raises(SingularElimination):
+                    reduce_block(A, S)
+                continue
+            rec = reduce_block(A, S)
+            np.testing.assert_allclose(rec.R.dense, ref.R.dense, rtol=0, atol=1e-12)
+            # atol: the dense LU leaves rounding noise where the lift is structurally zero
+            np.testing.assert_allclose(rec.lift, ref.lift, rtol=1e-9, atol=1e-14)
+            compared += 1
+        assert compared >= 12
+
+    def test_condition_is_exact(self):
+        for A, S in _staged_cases():
+            drop = S.complement().array
+            shifted = np.eye(drop.size) - A.dense[np.ix_(drop, drop)]
+            exact = np.linalg.cond(shifted, 1)
+            if exact > SINGULAR_CONDITION / 10:
+                continue
+            rec = reduce_block(A, S)
+            assert rec.condition_estimate == pytest.approx(exact, rel=1e-9)
+
+    def test_bit_identical_repeat(self):
+        A, gen_seed = _burr(500, 4, 1, 0)
+        S = select_subset(A, RandomS(50, gen_seed + 1))
+        first, second = reduce_block(A, S), reduce_block(A, S)
+        assert np.array_equal(first.R.dense, second.R.dense)
+        assert np.array_equal(first.lift, second.lift)
+        assert first.condition_estimate == second.condition_estimate
+
+    def test_absorbing_vertex_in_eliminated_set(self):
+        A, _ = _burr(200, 4, 2, 0)
+        D = A.dense.copy()
+        D[:, 7] = 0.0
+        D[7, 7] = 1.0
+        S = IndexSet([v for v in range(200) if v % 5 == 0], 200)
+        # the zero pivot must be refused before anything divides by it
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(SingularElimination):
+            reduce_block(StochasticMatrix(sp.csc_matrix(D)), S)
+
+    def test_trapped_class_rejected(self):
+        # seed 202, instance 29 of the paper's Burr set: the kept set leaves
+        # an essential class eliminated; the exact solve gives a huge
+        # negative y there, so taking max(y) instead of max|y| would accept it
+        A, gen_seed = _burr(1000, 4, 202, 29)
+        S = select_subset(A, RandomS(90, gen_seed + 1))
+        with pytest.raises(SingularElimination) as info:
+            reduce_block(A, S)
+        assert info.value.condition > SINGULAR_CONDITION
 
 
 class TestEliminateNode:

@@ -3,6 +3,7 @@ import pytest
 
 from isored.core import IndexSet, StochasticMatrix, residual
 from isored.errors import SingularElimination, SingularSystem
+from isored.randgen import BurrConfig, SparseGenConfig, gen_sparse_stochastic
 from isored.reduction import FirstS, RandomS
 from isored.solvers import (
     SolverConfig,
@@ -182,6 +183,18 @@ class TestIsospectral:
             assert pf.residual <= 1e-8
             assert iso.residual <= 1e-8
             assert np.linalg.norm(pf.v.values - iso.v.values) <= 1e-6
+
+    def test_default_route_matches_direct_on_wide_kept_set(self):
+        # Burr n=2000, s=400, seed 3 instance 0: power iteration as the inner
+        # solve stopped 0.23 (L1) away from the stationary vector, residual 4e-9
+        gen_seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
+        A = gen_sparse_stochastic(
+            SparseGenConfig(n=2000, nnz_per_col=4, burr=BurrConfig(0.2), seed=gen_seed)
+        )
+        cfg = SolverConfig(p=8, seed=gen_seed, s=400, strategy=RandomS(400, seed=gen_seed + 1))
+        iso = isospectral_stationary(A, cfg)
+        ref = direct_stationary(A)
+        assert np.abs(iso.v.values - ref.v.values).sum() <= 1e-5
 
     def test_singular_elimination_retries_then_raises(self):
         # two essential blocks: half the vertices always trap a class, and
