@@ -51,13 +51,12 @@ def _add_matrix_arg(p):
                    help="normalize column sums instead of validating them")
 
 
-def _strategy(args, n):
-    s = args.keep_size if args.keep_size is not None else max(1, n // 10)
-    if args.strategy == "first":
+def _strategy(kind, s, seed):
+    if kind == "first":
         return FirstS(s)
-    if args.strategy == "greedy":
+    if kind == "greedy":
         return PivotGreedy(s)
-    return RandomS(s, args.seed)
+    return RandomS(s, seed)
 
 
 def _parse_keep(keep, n):
@@ -109,13 +108,7 @@ def cmd_reduce(args):
     A = _load_stochastic(args)
     size, S = _parse_keep(args.keep, A.n)
     if S is None:
-        if args.strategy == "first":
-            strat = FirstS(size)
-        elif args.strategy == "greedy":
-            strat = PivotGreedy(size)
-        else:
-            strat = RandomS(size, args.seed)
-        S = select_subset(A, strat)
+        S = select_subset(A, _strategy(args.strategy, size, args.seed))
     rec = reduce_sequential(A, S) if args.mode == "seq" else reduce_block(A, S)
     base = args.output
     mmio.write_matrix(f"{base}.R.mtx", rec.R)
@@ -132,9 +125,10 @@ def cmd_reduce(args):
 
 def cmd_stationary(args):
     A = _load_stochastic(args)
+    s = args.keep_size if args.keep_size is not None else max(1, A.n // 10)
     cfg = solvers.SolverConfig(
-        p=args.p, max_iters=args.max_iters, seed=args.seed,
-        s=args.keep_size, strategy=_strategy(args, A.n) if args.method == "iso" else None,
+        p=args.p, max_iters=args.max_iters, seed=args.seed, s=args.keep_size,
+        strategy=_strategy(args.strategy, s, args.seed) if args.method == "iso" else None,
     )
     out = solvers.solve(A, args.method, cfg)
     if args.json:

@@ -87,17 +87,6 @@ class PivotGreedy:
 SelectionStrategy = FirstS | RandomS | PivotGreedy
 
 
-def _dense_shifted_solver(F):
-    """LU-factor a dense shifted block; return (solve, condition estimate)."""
-    anorm = np.abs(F).sum(axis=0).max() if F.size else 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # exactly singular -> rcond 0 below
-        lu, piv = sla.lu_factor(F, check_finite=False)
-    rcond = lapack.dgecon(lu, anorm, norm="1")[0]
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    return (lambda B: sla.lu_solve((lu, piv), B, check_finite=False)), cond
-
-
 def _csr(shape, rows, cols, vals):
     """CSR matrix from entries listed in non-decreasing row order."""
     indptr = np.zeros(shape[0] + 1, dtype=np.intp)
@@ -281,9 +270,14 @@ def _schur(data, keep, drop, lam):
     C = data[np.ix_(drop, keep)]
     D = data[np.ix_(keep, drop)]
     E = data[np.ix_(keep, keep)]
-    solve, cond = _dense_shifted_solver(B - lam * np.eye(drop.size))
+    F = B - lam * np.eye(drop.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # exactly singular -> rcond 0 below
+        lu = sla.lu_factor(F, check_finite=False)
+    rcond = lapack.dgecon(lu[0], np.abs(F).sum(axis=0).max(), norm="1")[0]
+    cond = np.inf if rcond == 0 else 1.0 / rcond
     _check_condition(cond)
-    lift = -solve(C)
+    lift = -sla.lu_solve(lu, C, check_finite=False)
     _check_finite(lift, cond)
     R_raw = E + D @ lift
     return R_raw, lift, cond
@@ -349,89 +343,103 @@ def reduce_block(A, S):
     return _finish_stochastic(S, R_raw, lift, drop, cond)
 
 
+def _eliminate(M, alive, p, delta):
+    """Eliminate vertex ``p`` of the n x n work array ``M`` in place.
+
+    Dead vertices (``~alive``) have all-zero rows and columns and keep them.
+    A pivot with ``m_pp >= 1 - delta`` is refused before any division: the
+    call returns ``None`` and changes nothing.  Otherwise ``p`` dies, ``M``
+    takes the rank-1 update and re-normalized columns, and the call returns
+    ``(row, col, piv)``: ``piv = 1 - m_pp``, the lift row ``M[p,:] / piv``
+    and the column ``M[:,p]``, both with entry ``p`` zeroed.
+    """
+    if not M[p, p] < 1.0 - delta:
+        return None
+    piv = 1.0 - M[p, p]
+    row, col = M[p] / piv, M[:, p].copy()
+    row[p] = col[p] = 0.0
+    M[p] = M[:, p] = 0.0
+    alive[p] = False
+    M += col[:, None] * row
+    sums = M.sum(axis=0)
+    sums[~alive] = 1.0  # dead columns are all zero
+    M /= sums  # keep column sums exact across steps
+    return row, col, piv
+
+
 def eliminate_node(A, k, delta=1e-12):
-    """Remove a single vertex: r[i,j] = a[i,j] + a[i,k] a[k,j] / (1 - a[k,k])."""
+    """Remove a single vertex: r[i,j] = a[i,j] + a[i,k] a[k,j] / (1 - a[k,k]).
+
+    One step of :func:`_eliminate`; the lift is the pivot row.
+    """
     A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
-    M = A.dense
-    n = A.n
-    k = int(k)
+    n, k = A.n, int(k)
     if not 0 <= k < n:
         raise DimensionMismatch(f"node {k} outside [0, {n})")
-    akk = float(M[k, k])
-    if akk >= 1.0 - delta:
-        raise AbsorbingPivot(k, akk)
-    rest = np.concatenate([np.arange(k), np.arange(k + 1, n)])
-    row = M[k, rest] / (1.0 - akk)
-    R_raw = M[np.ix_(rest, rest)] + np.outer(M[rest, k], row)
-    S = IndexSet(rest, n)
-    return _finish_stochastic(S, R_raw, row.reshape(1, -1), (k,), 1.0)
-
-
-def _compose_lift(steps, S):
-    """Fold per-step elimination rows into the block lift matrix."""
-    pos = {v: i for i, v in enumerate(S.indices)}
-    rows = {}
-    for k, rest_labels, row in reversed(steps):
-        out = np.zeros(len(S))
-        for val, v in zip(row, rest_labels):
-            if v in pos:
-                out[pos[v]] += val
-            else:
-                out += val * rows[v]
-        rows[k] = out
-    eliminated = sorted(rows)
-    return np.vstack([rows[v] for v in eliminated]) if eliminated else np.zeros((0, len(S)))
+    M = np.array(A.dense, copy=True)
+    alive = np.ones(n, dtype=bool)
+    step = _eliminate(M, alive, k, delta)
+    if step is None:
+        raise AbsorbingPivot(k, float(M[k, k]))
+    rest = np.flatnonzero(alive)
+    R_raw = M[rest][:, rest]
+    return _finish_stochastic(IndexSet(rest, n), R_raw, step[0][None, rest], (k,), 1.0)
 
 
 def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
     """Eliminate the complement of ``S`` one node at a time.
 
     ``order`` fixes the elimination sequence (must enumerate the complement);
-    by default the remaining node with the smallest diagonal goes first.  The
-    final matrix matches :func:`reduce_block` up to rounding, whatever the
-    order.  Raises :class:`NoViablePivot` when every candidate has diagonal
-    within ``delta`` of 1.
+    by default the remaining eliminated vertex with the smallest current
+    diagonal goes first, ties to the lowest index.  Each step is one call of
+    the in-place kernel :func:`_eliminate` on an n x n work array; the result
+    matches :func:`reduce_block` up to rounding, whatever the order.  Raises
+    :class:`NoViablePivot` when a pivot has diagonal within ``delta`` of 1.
+
+    The lift is back-substituted from the pivot rows: ``X[S] = I``, then
+    ``X[k] = W[k] @ X`` in reverse pivot order.  The steps LU-factor the
+    M-matrix ``I - B``, ``B = A[~S,~S]``, so its condition number is exact:
+    ``||I - B||_1 max(y)``, ``(I - B)^T y = 1``, with ``f += W[k] f_k``
+    forward and ``y_k = (f_k + col_k . y) / piv_k`` backward.
     """
     A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
     n = A.n
     S = S if isinstance(S, IndexSet) else IndexSet(S, n)
     if S.is_full():
         return reduce_block(A, S)
-    drop = set(S.complement().indices)
+    keep, drop = S.array, S.complement().array
     if order is not None:
         order = [int(k) for k in order]
-        if set(order) != drop or len(order) != len(drop):
+        if sorted(order) != drop.tolist():
             raise DimensionMismatch("order must enumerate the eliminated vertices exactly once")
 
     M = np.array(A.dense, copy=True)
-    labels = list(range(n))
-    steps = []
-    remaining = list(order) if order is not None else None
-    while len(labels) > len(S):
-        if remaining is not None:
-            k = remaining.pop(0)
-            p = labels.index(k)
-            if M[p, p] >= 1.0 - delta:
-                raise NoViablePivot(f"node {k + 1} has diagonal {M[p, p]!r}")
+    alive = np.ones(n, dtype=bool)
+    pending = np.zeros(n, dtype=bool)
+    pending[drop] = True
+    W, cols, piv = np.zeros((n, n)), np.zeros((n, n)), np.ones(n)  # per pivot vertex
+    f = pending.astype(np.float64)  # right-hand side of (I - B)^T y = 1, folded forward
+    pivots = []
+    for step in range(drop.size):
+        if order is None:
+            p = int(np.argmin(np.where(pending, M.diagonal(), np.inf)))
         else:
-            cands = [(M[p, p], p) for p, v in enumerate(labels) if v in drop]
-            diag, p = min(cands)
-            if diag >= 1.0 - delta:
-                raise NoViablePivot("every remaining candidate is numerically absorbing")
-            k = labels[p]
-        akk = M[p, p]
-        rest = [q for q in range(len(labels)) if q != p]
-        row = M[p, rest] / (1.0 - akk)
-        steps.append((k, [labels[q] for q in rest], row))
-        M = M[np.ix_(rest, rest)] + np.outer(M[rest, p], row)
-        M /= M.sum(axis=0)  # keep column sums exact across steps
-        labels = [labels[q] for q in rest]
+            p = order[step]
+        out = _eliminate(M, alive, p, delta)
+        if out is None:
+            raise NoViablePivot(f"node {p + 1} has diagonal {M[p, p]!r}")
+        W[p], cols[p], piv[p] = out
+        pending[p] = False
+        f += W[p] * f[p]
+        pivots.append(p)
 
-    lift = _compose_lift(steps, S)
-    _, cond = _dense_shifted_solver(
-        A.dense[np.ix_(sorted(drop), sorted(drop))] - np.eye(len(drop))
-    )
-    return _finish_stochastic(S, M, lift, [k for k, _, _ in steps], cond)
+    X = np.eye(n)[:, keep]
+    y = np.zeros(n)
+    for p in reversed(pivots):
+        X[p] = W[p] @ X
+        y[p] = (f[p] + cols[p] @ y) / piv[p]
+    anorm = np.abs(np.eye(drop.size) - A.dense[drop][:, drop]).sum(axis=0).max()
+    return _finish_stochastic(S, M[keep][:, keep], X[drop], pivots, anorm * y.max())
 
 
 def select_subset(A, strategy):
@@ -459,30 +467,21 @@ def _check_size(s, n):
 def _greedy_selection(A, s, delta):
     """Repeatedly mark the smallest-diagonal node of the partial reduction.
 
-    Viable marks are eliminated immediately so later diagonals reflect the
-    shrunken matrix.  Once only absorbing candidates remain, the rest of the
-    marks go to the smallest current (then original) diagonals without
-    further updates.
+    Viable marks are eliminated immediately by :func:`_eliminate`, so later
+    diagonals reflect the shrunken matrix.  Once only absorbing candidates
+    remain, the rest of the marks go to the smallest current (then original)
+    diagonals without further updates.
     """
     M = np.array(A.dense, copy=True)
-    original = np.diag(A.dense).copy()
-    labels = list(range(A.n))
-    while len(labels) > s:
-        diags = M.diagonal()
-        p = int(np.argmin(diags))
-        if diags[p] < 1.0 - delta:
-            rest = [q for q in range(len(labels)) if q != p]
-            row = M[p, rest] / (1.0 - diags[p])
-            M = M[np.ix_(rest, rest)] + np.outer(M[rest, p], row)
-            M /= M.sum(axis=0)
-            labels = [labels[q] for q in rest]
-        else:
-            cut = len(labels) - s
-            order = np.lexsort((original[labels], diags))
-            doomed = set(int(q) for q in order[:cut])
-            labels = [v for q, v in enumerate(labels) if q not in doomed]
+    alive = np.ones(A.n, dtype=bool)
+    for _ in range(A.n - s):
+        p = int(np.argmin(np.where(alive, M.diagonal(), np.inf)))
+        if _eliminate(M, alive, p, delta) is None:
+            live = np.flatnonzero(alive)
+            order = np.lexsort((A.dense.diagonal()[live], M.diagonal()[live]))
+            alive[live[order[: live.size - s]]] = False
             break
-    return IndexSet(labels, A.n)
+    return IndexSet(np.flatnonzero(alive), A.n)
 
 
 def reconstruct_stationary(rec, v_R):

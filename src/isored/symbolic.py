@@ -219,18 +219,6 @@ RF_ONE = RationalFunction(ONE)
 RF_LAMBDA = RationalFunction(LAMBDA)
 
 
-def rf_add(a, b):
-    return a + b
-
-
-def rf_mul(a, b):
-    return a * b
-
-
-def rf_div(a, b):
-    return a / b
-
-
 @dataclass(frozen=True)
 class Branch:
     """Path whose interior vertices are all eliminated; endpoints are free.

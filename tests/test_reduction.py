@@ -11,6 +11,7 @@ from isored.errors import (
 )
 from isored.randgen import BurrConfig, SparseGenConfig, gen_sparse_stochastic, make_banded
 from isored.reduction import (
+    PIVOT_DELTA,
     SINGULAR_CONDITION,
     FirstS,
     PivotGreedy,
@@ -220,7 +221,8 @@ class TestEliminateNode:
         np.testing.assert_allclose(rec.R.dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_absorbing_pivot(self):
-        with pytest.raises(AbsorbingPivot):
+        # refused before anything divides by the zero pivot
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(AbsorbingPivot):
             eliminate_node(StochasticMatrix(np.eye(2)), 0)
 
     def test_agrees_with_block(self):
@@ -267,13 +269,150 @@ class TestReduceSequential:
             assert np.abs(seq.lift - blk.lift).max() <= 1e-9
 
     def test_no_viable_pivot(self):
-        A = StochasticMatrix(np.eye(3))
-        with pytest.raises(NoViablePivot):
-            reduce_sequential(A, IndexSet([0], 3))
+        # refused before anything divides by the zero pivot, in either order mode
+        with np.errstate(divide="raise", invalid="raise"):
+            with pytest.raises(NoViablePivot):
+                reduce_sequential(StochasticMatrix(np.eye(3)), IndexSet([0], 3))
+            # {1, 2} is a closed class: after one step the other pivot has diagonal 1
+            A = StochasticMatrix([[0.4, 0, 0], [0.3, 0.2, 0.8], [0.3, 0.8, 0.2]])
+            for order in (None, [2, 1]):
+                with pytest.raises(NoViablePivot):
+                    reduce_sequential(A, IndexSet([0], 3), order=order)
+
+    def test_condition_is_exact(self):
+        rng = np.random.default_rng(12)
+        compared = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 61))
+            A = rand_stochastic(rng, n)
+            S = rand_subset(rng, n)
+            drop = S.complement().array
+            exact = np.linalg.cond(np.eye(drop.size) - A.dense[np.ix_(drop, drop)], 1)
+            if exact >= 1e13:
+                continue
+            rec = reduce_sequential(A, S)
+            assert rec.condition_estimate == pytest.approx(exact, rel=1e-9)
+            compared += 1
+        assert compared >= 150
 
     def test_order_must_match_complement(self, example3):
         with pytest.raises(DimensionMismatch):
             reduce_sequential(example3, IndexSet([0, 1], 3), order=[1])
+
+
+def _reference_sequential(A, S, order=None):
+    """Copy-based node-by-node reduction: raw ``(R, lift, pivot_order)``.
+
+    Each step slices the surviving matrix anew and the lift is composed
+    from the per-step rows afterwards; the in-place kernel must agree.
+    """
+    drop = set(S.complement().indices)
+    M = np.array(A.dense, copy=True)
+    labels = list(range(A.n))
+    steps = []
+    remaining = list(order) if order is not None else None
+    while len(labels) > len(S):
+        if remaining is not None:
+            p = labels.index(remaining.pop(0))
+        else:
+            _, p = min((M[q, q], q) for q, v in enumerate(labels) if v in drop)
+        rest = [q for q in range(len(labels)) if q != p]
+        row = M[p, rest] / (1.0 - M[p, p])
+        steps.append((labels[p], [labels[q] for q in rest], row))
+        M = M[np.ix_(rest, rest)] + np.outer(M[rest, p], row)
+        M /= M.sum(axis=0)
+        labels = [labels[q] for q in rest]
+    pos = {v: i for i, v in enumerate(S.indices)}
+    rows = {}
+    for k, rest_labels, row in reversed(steps):
+        out = np.zeros(len(S))
+        for val, v in zip(row, rest_labels):
+            if v in pos:
+                out[pos[v]] += val
+            else:
+                out += val * rows[v]
+        rows[k] = out
+    lift = np.vstack([rows[v] for v in sorted(rows)])
+    return M, lift, tuple(k for k, _, _ in steps)
+
+
+def _reference_greedy(A, s, delta=PIVOT_DELTA):
+    """Copy-based :class:`PivotGreedy` selection, as a sorted index tuple."""
+    M = np.array(A.dense, copy=True)
+    original = np.diag(A.dense).copy()
+    labels = list(range(A.n))
+    while len(labels) > s:
+        diags = M.diagonal()
+        p = int(np.argmin(diags))
+        if diags[p] < 1.0 - delta:
+            rest = [q for q in range(len(labels)) if q != p]
+            row = M[p, rest] / (1.0 - diags[p])
+            M = M[np.ix_(rest, rest)] + np.outer(M[rest, p], row)
+            M /= M.sum(axis=0)
+            labels = [labels[q] for q in rest]
+        else:
+            order = np.lexsort((original[labels], diags))
+            doomed = set(int(q) for q in order[: len(labels) - s])
+            labels = [v for q, v in enumerate(labels) if q not in doomed]
+            break
+    return tuple(labels)
+
+
+def _kernel_cases():
+    """Random dense chains, and the paper's setting one level down."""
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(3, 61))
+        yield rand_stochastic(rng, n), rand_subset(rng, n)
+    for k in range(3):
+        # the reduced 90 x 90 Burr chain, less the tenth with the smallest diagonal
+        A, gen_seed = _burr(1000, 4, 7, k)
+        R = reduce_block(A, select_subset(A, RandomS(90, gen_seed + 1))).R
+        drop = np.argsort(np.diag(R.dense), kind="stable")[:9]
+        yield R, IndexSet(np.setdiff1d(np.arange(90), drop), 90)
+
+
+def _stalling_chain():
+    """Two absorbing vertices and three with diagonal within 1e-9 of 1."""
+    rng = np.random.default_rng(15)
+    D = rand_stochastic(rng, 12).dense.copy()
+    D[:, [0, 5]] = 0.0
+    D[[0, 5], [0, 5]] = 1.0
+    sticky = [3, 8, 9]
+    D[:, sticky] *= 1e-9 * rng.random(3)
+    D[sticky, sticky] += 1.0 - D[:, sticky].sum(axis=0)
+    return StochasticMatrix(D), [0, 5] + sticky
+
+
+class TestKernelMatchesReference:
+    """The in-place kernel against the copy-based elimination it replaced."""
+
+    def test_sequential(self):
+        rng = np.random.default_rng(14)
+        for A, S in _kernel_cases():
+            for order in (None, list(rng.permutation(S.complement().array))):
+                R, lift, pivots = _reference_sequential(A, S, order)
+                rec = reduce_sequential(A, S, order=order)
+                np.testing.assert_allclose(rec.R.dense, R, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(rec.lift, lift, rtol=0, atol=1e-14)
+                assert rec.pivot_order == pivots
+
+    def test_greedy(self):
+        for A, S in _kernel_cases():
+            for s in {1, len(S), max(1, A.n // 2)}:
+                assert select_subset(A, PivotGreedy(s)).indices == _reference_greedy(A, s)
+
+    def test_greedy_stalls_on_absorbing_vertices(self):
+        # seven viable pivots, then the lexsort on current, then original
+        # diagonals picks which of the five stalled vertices go
+        A, stalled = _stalling_chain()
+        for s in (1, 2, 4):
+            with np.errstate(divide="raise", invalid="raise"):
+                kept = select_subset(A, PivotGreedy(s))
+            assert kept.indices == _reference_greedy(A, s)
+            assert set(kept.indices) <= set(stalled)
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(NoViablePivot):
+            reduce_sequential(A, IndexSet([1, 2], 12))
 
 
 class TestSelectSubset:
