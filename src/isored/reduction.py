@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from .core import (
     SPARSE_DENSITY_THRESHOLD,
@@ -30,13 +29,13 @@ from .core import (
     NonNegativeMatrix,
     ProbabilityVector,
     StochasticMatrix,
-    project_columns,
 )
 from .errors import (
     AbsorbingPivot,
     DimensionMismatch,
     NoViablePivot,
     SingularElimination,
+    ZeroColumn,
 )
 
 #: condition number of (I - A[~S,~S]) beyond which the elimination is rejected
@@ -124,12 +123,11 @@ def _independent_set(core, rows, cols):
     return np.sort(np.array(taken, dtype=np.intp))
 
 
-def _staged_schur(data, keep, drop, lam):
-    """Sparse branch of :func:`_schur`: peel independent sets, then a dense core.
+def _peel(data, keep, drop, lam):
+    """Sparse half of :func:`_schur`: peel independent sets down to a dense core.
 
-    Works in local numbering, eliminated vertices ``0..d-1`` then kept ones,
-    on the rows of the eliminated vertices only: the kept rows enter once, in
-    ``R = A[S,:] @ [lift; I]``.
+    Works in local numbering (eliminated vertices ``0..d-1``, then kept ones)
+    on the eliminated rows; returns ``(top, levels, Q, G, C, f, anorm)``.
     """
     n, d, s = data.shape[0], drop.size, keep.size
     loc = np.empty(n, dtype=np.intp)
@@ -196,31 +194,12 @@ def _staged_schur(data, keep, drop, lam):
     at[d:] = q + np.arange(s)
     r_at, c_at = at[rows], at[cols]
     inner = c_at < q
-    G = np.zeros((q, q), order="F")  # lam I - M[Q,Q], factored in place
+    G = np.zeros((q, q), order="F")  # lam I - M[Q,Q]
     G.T.flat[c_at[inner] * q + r_at[inner]] = -vals[inner]
     G.T.flat[:: q + 1] += lam
-    C = np.zeros((q, s), order="F")  # M[Q,S], solved in place
+    C = np.zeros((q, s), order="F")  # M[Q,S]
     C.T.flat[(c_at[~inner] - q) * q + r_at[~inner]] = vals[~inner]
-    y = np.zeros(d)
-    if q:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # exactly singular -> non-finite y below
-            lu = sla.lu_factor(G, overwrite_a=True, check_finite=False)
-        y[Q] = sla.lu_solve(lu, f[Q], trans=1, check_finite=False)
-    for P, piv, _, (r_in, c_in, v_in), f_P in reversed(levels):
-        y[P] = (f_P + np.bincount(c_in, v_in * y[r_in], minlength=P.size)) / piv
-    cond = anorm * np.abs(y).max()
-    _check_condition(cond)
-
-    X = np.zeros((n, s))
-    X[d:] = np.eye(s)
-    if q:
-        X[Q] = sla.lu_solve(lu, C, overwrite_b=True, check_finite=False)
-    for P, _, W, _, _ in reversed(levels):
-        X[P] = W @ X
-    lift = X[:d]
-    _check_finite(lift, cond)
-    return top @ X, lift, cond
+    return top, levels, Q, G, C, f, anorm
 
 
 def _check_condition(cond):
@@ -232,64 +211,78 @@ def _check_condition(cond):
         )
 
 
-def _check_finite(lift, cond):
-    if not np.all(np.isfinite(lift)):
-        raise SingularElimination("shifted block solve produced non-finite values", condition=cond)
-
-
 def _schur(data, keep, drop, lam):
     """Raw Schur complement and lift of the shifted eliminated block.
 
-    Returns ``(R_raw, lift, cond)`` with dense arrays regardless of the input
-    storage; fill-in makes a sparse result pointless.
+    Returns ``(R_raw, lift, cond)`` as dense arrays for either storage.
+    ``lam I - B``, ``B = data[~S,~S]``, must be a nonsingular M-matrix, as it
+    is for a stochastic matrix at ``lam = 1`` and a non-negative one at its
+    dominant eigenvalue; a numerically singular block raises
+    :class:`SingularElimination`.
 
-    Dense input takes one dense LU of ``B - lam I`` (``B = data[~S,~S]``) and
-    a LAPACK estimate of its 1-norm condition number.  Sparse input is
-    reduced in stages, since reductions compose: while the still-eliminated
-    block is sparser than ``SPARSE_DENSITY_THRESHOLD``, a maximal independent
-    set P of its off-diagonal pattern is eliminated in one step,
+    Dense input goes straight to the core, ``Q = ~S``.  Sparse input peels
+    first, since reductions compose: while the still-eliminated block is
+    sparser than ``SPARSE_DENSITY_THRESHOLD``, a maximal independent set P of
+    its off-diagonal pattern goes in one exact step without fill (``M[P,P]``
+    is diagonal), ``M <- M[T,T] + M[T,P] diag(1/(lam - m_pp)) M[P,T]``.  No
+    pivoting is needed: ``lam I - B`` is column diagonally dominant (after
+    the Perron scaling at a dominant eigenvalue), and so is every Schur
+    complement of it.
 
-        M <- M[T,T] + M[T,P] diag(1/(lam - m_pp)) M[P,T],
-
-    which is exact and adds no fill inside P, because ``M[P,P]`` is diagonal.
-    The peel needs no pivoting: ``lam I - B`` is column diagonally dominant
-    (for ``lam = 1`` and a stochastic matrix; for the dominant eigenvalue of a
-    non-negative one, after the diagonal Perron scaling), and every Schur
-    complement inherits that.  The remaining core is solved with a dense LU,
-    and the lift is folded back level by level with ``X[P] = W @ X[T]``,
-    ``W = diag(1/(lam - m_pp)) M[P,T]``.  ``lam I - B`` is then a nonsingular
-    M-matrix with a non-negative inverse, so its 1-norm condition number is
-    exact rather than estimated: ``||(lam I - B)^-1||_1 = max|y|`` with
-    ``(lam I - B)^T y = 1``, solved through the same levels and one
-    transposed solve on the core.  ``max|y|``, not ``max y``: a numerically
-    singular block can return a hugely negative ``y``.
+    One tail serves both: an in-place LU of the core ``G = lam I - M[Q,Q]``,
+    the lift ``G^-1 M[Q,S]`` folded back level by level with ``X[P] = W @
+    X[T]``, ``W = diag(1/(lam - m_pp)) M[P,T]``, and ``R = A[S,:] @ [lift;
+    I]``.  An M-matrix has a non-negative inverse, so the 1-norm condition
+    number is exact: ``||(lam I - B)^-1||_1 = max y``, ``(lam I - B)^T y =
+    1``, solved through the same levels and one transposed solve on the core.
+    Conversely ``y > 0`` proves that the Z-matrix ``lam I - B`` is a
+    nonsingular M-matrix, so a block that fails it is refused: a numerically
+    singular one can return a hugely negative ``y``, and ``reduce_at`` below
+    the dominant eigenvalue leaves the contract.
     """
+    d, s = drop.size, keep.size
     if sp.issparse(data):
-        return _staged_schur(data, keep, drop, lam)
-    B = data[np.ix_(drop, drop)]
-    C = data[np.ix_(drop, keep)]
-    D = data[np.ix_(keep, drop)]
-    E = data[np.ix_(keep, keep)]
-    F = B - lam * np.eye(drop.size)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # exactly singular -> rcond 0 below
-        lu = sla.lu_factor(F, check_finite=False)
-    rcond = lapack.dgecon(lu[0], np.abs(F).sum(axis=0).max(), norm="1")[0]
-    cond = np.inf if rcond == 0 else 1.0 / rcond
+        top, levels, Q, G, C, f, anorm = _peel(data, keep, drop, lam)
+    else:
+        top = data[keep][:, np.concatenate((drop, keep))]
+        levels, Q, f = [], np.arange(d), np.ones(d)
+        G = np.negative(data[drop][:, drop], order="F")  # lam I - B
+        G.T.flat[:: d + 1] += lam
+        C = data[drop][:, keep]
+        anorm = np.abs(G).sum(axis=0).max()
+
+    y = np.zeros(d)
+    if Q.size:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # exactly singular -> non-finite y below
+            lu = sla.lu_factor(G, overwrite_a=True, check_finite=False)
+        y[Q] = sla.lu_solve(lu, f[Q], trans=1, check_finite=False)
+    for P, piv, _, (r_in, c_in, v_in), f_P in reversed(levels):
+        y[P] = (f_P + np.bincount(c_in, v_in * y[r_in], minlength=P.size)) / piv
+    # y > 0 certifies the M-matrix; a singular block, or one outside the contract, gets inf
+    cond = anorm * y.max() if anorm and y.min() > 0 else np.inf
     _check_condition(cond)
-    lift = -sla.lu_solve(lu, C, check_finite=False)
-    _check_finite(lift, cond)
-    R_raw = E + D @ lift
-    return R_raw, lift, cond
+
+    X = np.zeros((d + s, s))
+    X[d:] = np.eye(s)
+    if Q.size:
+        X[Q] = sla.lu_solve(lu, C, overwrite_b=True, check_finite=False)
+    for P, _, W, _, _ in reversed(levels):
+        X[P] = W @ X
+    lift = X[:d]
+    if not np.all(np.isfinite(lift)):
+        raise SingularElimination("shifted block solve produced non-finite values", condition=cond)
+    return top @ X, lift, cond
 
 
 def reduce_at(M, S, lam=1.0):
     """Schur reduction of a general square matrix at an arbitrary shift.
 
     No stochastic postprocessing: returns the raw reduced array.  Used for
-    reductions of non-negative matrices at their dominant eigenvalue.  Sparse
-    input needs ``lam I - M[~S,~S]`` to be a nonsingular M-matrix, as it is
-    at that shift; otherwise :class:`SingularElimination` is raised.
+    reductions of non-negative matrices at their dominant eigenvalue, where
+    ``lam I - M[~S,~S]`` is a nonsingular M-matrix, as :func:`_schur`
+    requires for either storage.  A numerically singular block, or a shift
+    below the block's spectral radius, raises :class:`SingularElimination`.
     """
     data = M.data if isinstance(M, NonNegativeMatrix) else np.asarray(M, dtype=np.float64)
     n = data.shape[0]
@@ -301,7 +294,7 @@ def reduce_at(M, S, lam=1.0):
 
 
 def _finish_stochastic(S, R_raw, lift, pivot_order, cond):
-    """Clamp rounding noise and re-project so the record invariants hold exactly."""
+    """Clamp rounding noise and re-project in place so the record invariants hold exactly."""
     for arr in (R_raw, lift):
         low = arr.min() if arr.size else 0.0
         if low < -_NEGATIVE_SLACK:
@@ -311,9 +304,13 @@ def _finish_stochastic(S, R_raw, lift, pivot_order, cond):
                 condition=cond,
             )
         np.clip(arr, 0.0, None, out=arr)
+    sums = R_raw.sum(axis=0)
+    if not np.all(sums > 0):
+        raise ZeroColumn(int(np.argmin(sums > 0)))
+    R_raw /= sums
     return ReductionRecord(
         S=S,
-        R=project_columns(R_raw),
+        R=StochasticMatrix(R_raw),
         lift=lift,
         pivot_order=tuple(int(k) for k in pivot_order),
         condition_estimate=float(cond),

@@ -56,6 +56,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.regap_threshold < 1.0:
             raise ValueError("regap_threshold must lie in (0, 1)")
+        if self.inner not in ("auto", "direct", "pf"):
+            raise ValueError(f"inner must be 'auto', 'direct' or 'pf', got {self.inner!r}")
 
 
 @dataclass(frozen=True)
@@ -244,8 +246,8 @@ def isospectral_stationary(A, cfg=SolverConfig()):
             flags.append("reduction_retry")
             strategy = RandomS(getattr(strategy, "s", s), cfg.seed + 1000 + attempt)
 
-    iterative = cfg.inner == "pf" or (cfg.inner == "auto" and len(rec.S) > DIRECT_SIZE_LIMIT)
     inner = _solve_reduced(rec.R, cfg)
+    iterative = inner.method == "pf"
     if iterative and cfg.max_rereductions > 0:
         redraws = 0
         while redraws < cfg.max_rereductions:

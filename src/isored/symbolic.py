@@ -303,7 +303,8 @@ class WeightedDigraph:
 def is_structural_set(G, S):
     """True iff every non-loop cycle meets ``S`` and no eliminated loop weighs lambda."""
     S = S if isinstance(S, IndexSet) else IndexSet(S, G.n)
-    outside = [v for v in range(G.n) if v not in set(S.indices)]
+    kept = set(S.indices)
+    outside = [v for v in range(G.n) if v not in kept]
     for v in outside:
         if G.weight(v, v) == RF_LAMBDA:
             return False
@@ -364,39 +365,31 @@ def branch_weight(G, beta):
 
 
 def graph_reduce(G, S):
-    """Reduced graph on ``S``: entry (i, j) sums the weights of all branches i -> j."""
+    """Reduced graph on ``S``: entry (i, j) sums the weights of all branches i -> j.
+
+    The sum is built one eliminated vertex ``v`` at a time, on a copy of the
+    edge weights: ``w(i,j) += w(i,v) w(v,j) / (lambda - w(v,v))``, then ``v``
+    goes.  On a structural set this is the exact Schur complement, and the
+    canonical form of :class:`RationalFunction` makes the result independent
+    of the elimination order.
+    """
     S = S if isinstance(S, IndexSet) else IndexSet(S, G.n)
     if not is_structural_set(G, S):
         raise NotStructural(f"{S!r} is not a structural set of the graph")
-    kept = list(S.indices)
-    pos = {v: k for k, v in enumerate(kept)}
-    entries = [[RF_ZERO for _ in kept] for _ in kept]
-    elim = set(range(G.n)) - set(kept)
-
-    def walk(path, weight):
-        v = path[-1]
-        for u in G.successors(v):
-            if u in pos:
-                if u == path[0] or u not in path:
-                    step = weight * G.weight(v, u) if len(path) > 1 else G.weight(v, u)
-                    i, j = pos[path[0]], pos[u]
-                    entries[i][j] = entries[i][j] + step
-                continue
-            if u in path:
-                continue
-            loop = G.weight(u, u)
-            gain = G.weight(v, u) if len(path) == 1 else weight * G.weight(v, u)
-            walk(path + [u], gain / (RF_LAMBDA - loop))
-
-    for start in kept:
-        walk([start], RF_ONE)
-
-    labels = tuple(G.labels[v] for v in kept)
-    out = WeightedDigraph(len(kept), labels=labels)
-    for i in range(len(kept)):
-        for j in range(len(kept)):
-            if not entries[i][j].is_zero():
-                out.add_edge(i, j, entries[i][j])
+    pos = {v: k for k, v in enumerate(S.indices)}
+    w = dict(G.weights)
+    for v in range(G.n):
+        if v in pos:
+            continue
+        den = RF_LAMBDA - w.pop((v, v), RF_ZERO)
+        ins = [(i, w.pop((i, v)) / den) for (i, j) in list(w) if j == v]
+        outs = [(j, w.pop((v, j))) for (i, j) in list(w) if i == v]
+        for i, a in ins:
+            for j, b in outs:
+                w[(i, j)] = w.get((i, j), RF_ZERO) + a * b
+    out = WeightedDigraph(len(pos), labels=tuple(G.labels[v] for v in S.indices))
+    for (i, j), x in w.items():
+        out.add_edge(pos[i], pos[j], x)
     return out
 
 

@@ -73,7 +73,8 @@ class TestReduce:
         np.testing.assert_array_equal(R, [[0.0, 0.9], [1.0, 0.1]])
         lift = read_matrix(prefix + ".lift.mtx")
         np.testing.assert_allclose(lift, [[0.5, 0.1]], atol=1e-15)
-        meta = json.load(open(prefix + ".json"))
+        with open(prefix + ".json") as fh:
+            meta = json.load(fh)
         assert meta["S"] == [1, 2]
         assert meta["pivot_order"] == [3]
         assert meta["condition_estimate"] > 0
@@ -118,7 +119,8 @@ class TestBenchCommand:
                      "--max-iters", "20000", "-o", out])
         text = capsys.readouterr().out
         assert "t2_over_t1" in text
-        rows = open(out).read().splitlines()
+        with open(out) as fh:
+            rows = fh.read().splitlines()
         assert rows[0] == "rho_i,t1,t2,e1,e2,d,flags"
         assert len(rows) == 3
         assert code in (0, 1)

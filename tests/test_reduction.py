@@ -1,15 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
-from isored.core import IndexSet, StochasticMatrix, validate_stochastic
+from isored.core import IndexSet, NonNegativeMatrix, StochasticMatrix, validate_stochastic
 from isored.errors import (
     AbsorbingPivot,
     DimensionMismatch,
     NoViablePivot,
     SingularElimination,
 )
-from isored.randgen import BurrConfig, SparseGenConfig, gen_sparse_stochastic, make_banded
+from isored.randgen import (
+    BurrConfig,
+    SparseGenConfig,
+    gen_single_zero_nonnegative,
+    gen_sparse_stochastic,
+    make_banded,
+)
 from isored.reduction import (
     PIVOT_DELTA,
     SINGULAR_CONDITION,
@@ -108,6 +118,44 @@ class TestReduceBlock:
         assert after > before
         assert diameter_tau(rec.R) <= diameter_tau(example3)
 
+    def test_matches_former_dense_branch(self):
+        refused = 0
+        for A, S in _dense_cases():
+            ref = _reference_dense_schur(A, S)
+            if ref is None:
+                with pytest.raises(SingularElimination):
+                    reduce_block(A, S)
+                refused += 1
+                continue
+            rec = reduce_block(A, S)
+            np.testing.assert_allclose(rec.R.dense, ref[0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rec.lift, ref[1], rtol=0, atol=1e-15)
+        assert refused >= 60
+
+    def test_reduce_at_dense_matches_sparse(self):
+        # at the dominant eigenvalue lam I - M[~S,~S] is a nonsingular M-matrix
+        rng = np.random.default_rng(17)
+        for seed in range(60):
+            n = 3 + seed % 18
+            M, pivot = gen_single_zero_nonnegative(n, seed=seed)
+            lam = max(np.linalg.eigvals(M.dense), key=lambda z: z.real).real
+            Ms = NonNegativeMatrix(sp.csc_matrix(M.dense))
+            for S in (IndexSet([i for i in range(n) if i != pivot], n), rand_subset(rng, n)):
+                dense = reduce_at(M, S, lam)
+                np.testing.assert_allclose(reduce_at(Ms, S, lam), dense, rtol=1e-12, atol=0)
+
+    def test_reduce_at_refuses_below_dominant_eigenvalue(self):
+        # lam I - M[~S,~S] is no M-matrix there, so y > 0 fails on either storage
+        for seed in range(20):
+            n = 6 + seed % 12
+            M, _ = gen_single_zero_nonnegative(n, seed=seed)
+            S = IndexSet(range(n // 3), n)
+            drop = S.complement().array
+            lam = 0.5 * np.abs(np.linalg.eigvals(M.dense[np.ix_(drop, drop)])).max()
+            for data in (M, NonNegativeMatrix(sp.csc_matrix(M.dense))):
+                with pytest.raises(SingularElimination):
+                    reduce_at(data, S, lam)
+
     def test_sparse_input_dense_output(self):
         # complete pattern: the staged path peels nothing and solves it all dense
         rng = np.random.default_rng(3)
@@ -120,6 +168,43 @@ class TestReduceBlock:
         assert not rec_s.R.is_sparse
         np.testing.assert_allclose(rec_s.R.dense, rec_d.R.dense, atol=1e-12)
         np.testing.assert_allclose(rec_s.lift, rec_d.lift, atol=1e-12)
+
+
+def _reference_dense_schur(A, S):
+    """The former dense branch: LU of ``B - I``, LAPACK ``dgecon``, lift solve.
+
+    Returns the finished ``(R, lift)``, or ``None`` where it refused.
+    """
+    M = A.dense
+    keep, drop = S.array, S.complement().array
+    F = M[np.ix_(drop, drop)] - np.eye(drop.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # exactly singular -> rcond 0
+        lu = sla.lu_factor(F, check_finite=False)
+    rcond = lapack.dgecon(lu[0], np.abs(F).sum(axis=0).max(), norm="1")[0]
+    if rcond == 0 or 1.0 / rcond > SINGULAR_CONDITION:
+        return None
+    lift = -sla.lu_solve(lu, M[np.ix_(drop, keep)], check_finite=False)
+    R = M[np.ix_(keep, keep)] + M[np.ix_(keep, drop)] @ lift
+    if not np.all(np.isfinite(lift)) or min(R.min(), lift.min()) < -1e-8:
+        return None
+    R, lift = np.clip(R, 0.0, None), np.clip(lift, 0.0, None)
+    return R / R.sum(axis=0), lift
+
+
+def _dense_cases():
+    """Random dense chains; every third traps a closed class among the eliminated vertices."""
+    rng = np.random.default_rng(16)
+    for k in range(200):
+        n = int(rng.integers(3, 61))
+        A, S = rand_stochastic(rng, n), rand_subset(rng, n)
+        if k % 3 == 0:
+            drop = S.complement().array
+            closed = rng.choice(drop, size=int(rng.integers(1, min(3, drop.size) + 1)), replace=False)
+            D = A.dense.copy()
+            D[np.setdiff1d(np.arange(n), closed)[:, None], closed] = 0.0
+            A = StochasticMatrix(D / D.sum(axis=0))
+        yield A, S
 
 
 def _burr(n, nnz, seed, k):
@@ -173,14 +258,18 @@ class TestStagedElimination:
         assert compared >= 12
 
     def test_condition_is_exact(self):
-        for A, S in _staged_cases():
+        # on either storage: the dense core solves the same transposed system
+        rng = np.random.default_rng(18)
+        dense = [(rand_stochastic(rng, n), rand_subset(rng, n)) for n in rng.integers(3, 61, 100)]
+        for A, S in list(_staged_cases()) + dense:
             drop = S.complement().array
             shifted = np.eye(drop.size) - A.dense[np.ix_(drop, drop)]
             exact = np.linalg.cond(shifted, 1)
             if exact > SINGULAR_CONDITION / 10:
                 continue
-            rec = reduce_block(A, S)
-            assert rec.condition_estimate == pytest.approx(exact, rel=1e-9)
+            for M in (A, StochasticMatrix(A.dense)):
+                rec = reduce_block(M, S)
+                assert rec.condition_estimate == pytest.approx(exact, rel=1e-9)
 
     def test_bit_identical_repeat(self):
         A, gen_seed = _burr(500, 4, 1, 0)
@@ -203,7 +292,7 @@ class TestStagedElimination:
     def test_trapped_class_rejected(self):
         # seed 202, instance 29 of the paper's Burr set: the kept set leaves
         # an essential class eliminated; the exact solve gives a huge
-        # negative y there, so taking max(y) instead of max|y| would accept it
+        # negative y there, which no M-matrix has
         A, gen_seed = _burr(1000, 4, 202, 29)
         S = select_subset(A, RandomS(90, gen_seed + 1))
         with pytest.raises(SingularElimination) as info:

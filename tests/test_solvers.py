@@ -228,6 +228,11 @@ class TestIsospectral:
         assert out.flags.count("re_reduction") == 2
         assert out.residual <= 1e-6
 
+    def test_unknown_inner_solver_rejected(self):
+        # an unknown name used to run power iteration without the re-reduction check
+        with pytest.raises(ValueError, match="inner"):
+            SolverConfig(inner="lu")
+
 
 class TestSolveDispatch:
     def test_dispatch(self, example3):

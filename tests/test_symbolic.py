@@ -15,6 +15,7 @@ from isored.reduction import reduce_block
 from isored.symbolic import (
     LAMBDA,
     RF_LAMBDA,
+    RF_ZERO,
     Branch,
     Polynomial,
     RationalFunction,
@@ -202,6 +203,23 @@ class TestGraphReduce:
                 for j in range(len(S)):
                     assert abs(float(exact[i][j]) - numeric[i, j]) <= 1e-10
             done += 1
+
+    def test_entries_are_branch_sums(self):
+        # the vertex elimination against the branch expansion it replaced
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(3, 8))
+            M, S = rand_rational_stochastic_graph(rng, n)
+            G = WeightedDigraph.from_matrix(M)
+            pos = {v: k for k, v in enumerate(S.indices)}
+            sums = {}
+            for beta in branches(G, S):
+                if beta.start in pos and beta.end in pos:
+                    key = (pos[beta.start], pos[beta.end])
+                    sums[key] = sums.get(key, RF_ZERO) + branch_weight(G, beta)
+            R = graph_reduce(G, S)
+            assert R.labels == S.indices
+            assert R.weights == WeightedDigraph(len(pos), sums).weights
 
     def test_sequential_symbolic_reduction_exact(self):
         rng = np.random.default_rng(22)
