@@ -115,7 +115,7 @@ def cmd_reduce(args):
     mmio.write_matrix(f"{base}.lift.mtx", rec.lift)
     with open(f"{base}.json", "w") as fh:
         json.dump({
-            "S": list(rec.S.one_based),
+            "S": (rec.S.array + 1).tolist(),
             "pivot_order": [k + 1 for k in rec.pivot_order],
             "condition_estimate": rec.condition_estimate,
         }, fh, indent=2)

@@ -173,64 +173,80 @@ class ProbabilityVector:
 class IndexSet:
     """Sorted duplicate-free set of vertex indices inside {0, ..., n-1}.
 
-    External interfaces (CLI, files) use 1-based numbering; convert through
-    :meth:`from_one_based` / :attr:`one_based`.
+    Holds one read-only sorted ``intp`` :attr:`array`; the complement is
+    computed at most once.  External interfaces (CLI, files) use 1-based
+    numbering; convert through :meth:`from_one_based` / :attr:`one_based`.
     """
 
-    __slots__ = ("indices", "n")
+    __slots__ = ("array", "n", "_complement")
 
     def __init__(self, indices, n):
-        idx = sorted({int(i) for i in indices})
-        if not idx:
+        arr = indices if isinstance(indices, np.ndarray) else np.fromiter(indices, dtype=np.intp)
+        arr = np.sort(arr.astype(np.intp, copy=False))
+        if not arr.size:
             raise IndexOutOfRange("index set must be non-empty")
-        if idx[0] < 0 or idx[-1] >= n:
-            bad = idx[0] if idx[0] < 0 else idx[-1]
+        if arr[0] < 0 or arr[-1] >= n:
+            bad = arr[0] if arr[0] < 0 else arr[-1]
             raise IndexOutOfRange(f"index {bad} outside [0, {n})")
-        self.indices = tuple(idx)
+        member = np.zeros(n, dtype=bool)  # drops duplicates
+        member[arr] = True
+        self.array = _freeze(member.nonzero()[0])
         self.n = int(n)
+        self._complement = False  # not computed yet; None means empty
 
     @classmethod
     def from_one_based(cls, indices, n):
         return cls([int(i) - 1 for i in indices], n)
 
     @property
-    def one_based(self):
-        return tuple(i + 1 for i in self.indices)
+    def indices(self):
+        return tuple(self.array.tolist())
 
     @property
-    def array(self):
-        return np.asarray(self.indices, dtype=np.intp)
+    def one_based(self):
+        return tuple((self.array + 1).tolist())
 
     def complement(self):
-        mask = np.ones(self.n, dtype=bool)
-        mask[list(self.indices)] = False
-        rest = np.flatnonzero(mask)
-        return IndexSet(rest, self.n) if rest.size else None
+        if self._complement is False:
+            mask = np.ones(self.n, dtype=bool)
+            mask[self.array] = False
+            rest = mask.nonzero()[0]
+            self._complement = IndexSet(rest, self.n) if rest.size else None
+        return self._complement
 
     def is_full(self):
-        return len(self.indices) == self.n
+        return self.array.size == self.n
 
     def __len__(self):
-        return len(self.indices)
+        return self.array.size
 
     def __iter__(self):
-        return iter(self.indices)
+        return iter(self.array.tolist())
 
     def __contains__(self, i):
-        return i in set(self.indices)
+        return i in self.array
 
     def __eq__(self, other):
         return (
             isinstance(other, IndexSet)
-            and self.indices == other.indices
             and self.n == other.n
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self):
-        return hash((self.indices, self.n))
+        return hash((self.array.tobytes(), self.n))
 
     def __repr__(self):
-        return f"IndexSet({list(self.one_based)} of {self.n}, 1-based)"
+        return f"IndexSet({(self.array + 1).tolist()} of {self.n}, 1-based)"
+
+
+def _kept_set(S, n):
+    """Admit a kept set for ``n`` vertices: coerce raw indices, or check an IndexSet's ``n``."""
+    if not isinstance(S, IndexSet):
+        return IndexSet(S, n)
+    if S.n != n:
+        raise DimensionMismatch(f"index set sized for n={S.n}, expected n={n}")
+    return S
 
 
 def validate_stochastic(M):
@@ -267,12 +283,7 @@ def submatrix(M, rows, cols):
     """Extract the |rows| x |cols| block with the given index order preserved."""
     data = M.data if isinstance(M, NonNegativeMatrix) else M
     n, m = data.shape
-    if not isinstance(rows, IndexSet):
-        rows = IndexSet(rows, n)
-    if not isinstance(cols, IndexSet):
-        cols = IndexSet(cols, m)
-    if rows.n != n or cols.n != m:
-        raise IndexOutOfRange(f"index sets sized for {rows.n}x{cols.n}, matrix is {n}x{m}")
+    rows, cols = _kept_set(rows, n), _kept_set(cols, m)
     if sp.issparse(data):
         return data[rows.array][:, cols.array]
     return data[np.ix_(rows.array, cols.array)]

@@ -22,6 +22,7 @@ from .core import (
     StochasticMatrix,
     best_storage,
     project_columns,
+    validate_stochastic,
 )
 from .errors import DimensionMismatch, PreconditionViolation
 
@@ -102,7 +103,7 @@ def make_two_block(a, p, B, variant="padded"):
       damped-uniform matrix of link-analysis fame.
     * ``"single-row"``: one feeder vertex.
     """
-    B = B if isinstance(B, StochasticMatrix) else StochasticMatrix(B)
+    B = validate_stochastic(B)
     m = B.n
     Bd = B.dense
     if not 0.0 < a < 0.5:

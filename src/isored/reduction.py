@@ -29,6 +29,8 @@ from .core import (
     NonNegativeMatrix,
     ProbabilityVector,
     StochasticMatrix,
+    _kept_set,
+    validate_stochastic,
 )
 from .errors import (
     AbsorbingPivot,
@@ -285,8 +287,7 @@ def reduce_at(M, S, lam=1.0):
     below the block's spectral radius, raises :class:`SingularElimination`.
     """
     data = M.data if isinstance(M, NonNegativeMatrix) else np.asarray(M, dtype=np.float64)
-    n = data.shape[0]
-    S = S if isinstance(S, IndexSet) else IndexSet(S, n)
+    S = _kept_set(S, data.shape[0])
     if S.is_full():
         return data.toarray() if sp.issparse(data) else np.array(data, copy=True)
     R_raw, _, _ = _schur(data, S.array, S.complement().array, float(lam))
@@ -312,7 +313,7 @@ def _finish_stochastic(S, R_raw, lift, pivot_order, cond):
         S=S,
         R=StochasticMatrix(R_raw),
         lift=lift,
-        pivot_order=tuple(int(k) for k in pivot_order),
+        pivot_order=pivot_order,
         condition_estimate=float(cond),
     )
 
@@ -323,10 +324,8 @@ def reduce_block(A, S):
     Raises :class:`SingularElimination` when ``I - A[~S,~S]`` is numerically
     singular, i.e. when the eliminated vertices contain an essential class.
     """
-    A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
-    S = S if isinstance(S, IndexSet) else IndexSet(S, A.n)
-    if S.n != A.n:
-        raise DimensionMismatch(f"index set sized for n={S.n}, matrix has n={A.n}")
+    A = validate_stochastic(A)
+    S = _kept_set(S, A.n)
     if S.is_full():
         return ReductionRecord(
             S=S,
@@ -337,7 +336,7 @@ def reduce_block(A, S):
         )
     drop = S.complement().array
     R_raw, lift, cond = _schur(A.data, S.array, drop, 1.0)
-    return _finish_stochastic(S, R_raw, lift, drop, cond)
+    return _finish_stochastic(S, R_raw, lift, tuple(drop.tolist()), cond)
 
 
 def _eliminate(M, alive, p, delta):
@@ -369,7 +368,7 @@ def eliminate_node(A, k, delta=1e-12):
 
     One step of :func:`_eliminate`; the lift is the pivot row.
     """
-    A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
+    A = validate_stochastic(A)
     n, k = A.n, int(k)
     if not 0 <= k < n:
         raise DimensionMismatch(f"node {k} outside [0, {n})")
@@ -399,9 +398,9 @@ def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
     ``||I - B||_1 max(y)``, ``(I - B)^T y = 1``, with ``f += W[k] f_k``
     forward and ``y_k = (f_k + col_k . y) / piv_k`` backward.
     """
-    A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
+    A = validate_stochastic(A)
     n = A.n
-    S = S if isinstance(S, IndexSet) else IndexSet(S, n)
+    S = _kept_set(S, n)
     if S.is_full():
         return reduce_block(A, S)
     keep, drop = S.array, S.complement().array
@@ -414,9 +413,8 @@ def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
     alive = np.ones(n, dtype=bool)
     pending = np.zeros(n, dtype=bool)
     pending[drop] = True
-    W, cols, piv = np.zeros((n, n)), np.zeros((n, n)), np.ones(n)  # per pivot vertex
     f = pending.astype(np.float64)  # right-hand side of (I - B)^T y = 1, folded forward
-    pivots = []
+    steps = []  # (p, W[p], col, piv) of each step
     for step in range(drop.size):
         if order is None:
             p = int(np.argmin(np.where(pending, M.diagonal(), np.inf)))
@@ -425,40 +423,34 @@ def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
         out = _eliminate(M, alive, p, delta)
         if out is None:
             raise NoViablePivot(f"node {p + 1} has diagonal {M[p, p]!r}")
-        W[p], cols[p], piv[p] = out
         pending[p] = False
-        f += W[p] * f[p]
-        pivots.append(p)
+        f += out[0] * f[p]
+        steps.append((p, *out))
 
     X = np.eye(n)[:, keep]
     y = np.zeros(n)
-    for p in reversed(pivots):
-        X[p] = W[p] @ X
-        y[p] = (f[p] + cols[p] @ y) / piv[p]
+    for p, w, col, piv in reversed(steps):
+        X[p] = w @ X
+        y[p] = (f[p] + col @ y) / piv
     anorm = np.abs(np.eye(drop.size) - A.dense[drop][:, drop]).sum(axis=0).max()
+    pivots = tuple(step[0] for step in steps)
     return _finish_stochastic(S, M[keep][:, keep], X[drop], pivots, anorm * y.max())
 
 
 def select_subset(A, strategy):
     """Choose the kept vertex set according to a selection strategy."""
-    A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
+    A = validate_stochastic(A)
     n = A.n
+    if not isinstance(strategy, SelectionStrategy):
+        raise TypeError(f"unknown selection strategy: {strategy!r}")
+    if not 1 <= strategy.s <= n:
+        raise DimensionMismatch(f"kept size {strategy.s} outside [1, {n}]")
     if isinstance(strategy, FirstS):
-        _check_size(strategy.s, n)
         return IndexSet(range(strategy.s), n)
     if isinstance(strategy, RandomS):
-        _check_size(strategy.s, n)
         rng = np.random.default_rng(strategy.seed)
         return IndexSet(rng.choice(n, size=strategy.s, replace=False), n)
-    if isinstance(strategy, PivotGreedy):
-        _check_size(strategy.s, n)
-        return _greedy_selection(A, strategy.s, strategy.delta)
-    raise TypeError(f"unknown selection strategy: {strategy!r}")
-
-
-def _check_size(s, n):
-    if not 1 <= s <= n:
-        raise DimensionMismatch(f"kept size {s} outside [1, {n}]")
+    return _greedy_selection(A, strategy.s, strategy.delta)
 
 
 def _greedy_selection(A, s, delta):

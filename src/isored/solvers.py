@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import ProbabilityVector, StochasticMatrix, residual
+from .core import ProbabilityVector, residual, validate_stochastic
 from .errors import NoConvergence, SingularElimination, SingularSystem
 from .reduction import (
     RandomS,
@@ -87,7 +87,7 @@ def perron_frobenius(A, cfg=SolverConfig()):
     On hitting ``max_iters`` the best iterate is returned with the flag
     ``max_iters_exceeded`` set; critical matrices are expected to do this.
     """
-    A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
+    A = validate_stochastic(A)
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     v = _random_simplex_point(A.n, rng)
@@ -148,7 +148,7 @@ def _solve_replaced_system(A):
 def direct_stationary(A):
     """LU baseline; raises :class:`SingularSystem` when the stationary
     measure is not unique (1 is a multiple eigenvalue)."""
-    A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
+    A = validate_stochastic(A)
     start = time.perf_counter()
     v = _solve_replaced_system(A)
     np.clip(v, 0.0, None, out=v)
@@ -173,7 +173,7 @@ def estimate_inner_radius(A, v_star, seed=0, max_iters=400, window=60, rtol=0.05
     per-step log growth over a trailing window.  Raises
     :class:`NoConvergence` when the estimate refuses to settle.
     """
-    A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
+    A = validate_stochastic(A)
     n = A.n
     if n < 2:
         return 0.0
@@ -225,7 +225,7 @@ def isospectral_stationary(A, cfg=SolverConfig()):
     inner radius of the reduced matrix still exceeds ``cfg.regap_threshold``,
     the reduction is redrawn up to ``cfg.max_rereductions`` times.
     """
-    A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
+    A = validate_stochastic(A)
     start = time.perf_counter()
     n = A.n
     s = cfg.s if cfg.s is not None else max(1, n // 10)

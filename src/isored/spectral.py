@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .core import NonNegativeMatrix, StochasticMatrix, one_norm
+from .core import NonNegativeMatrix, one_norm, validate_stochastic
 from .errors import DimensionMismatch, EigensolverFailure
 
 def _data(M):
@@ -230,7 +230,7 @@ def contraction_check(A, x, y):
 
 def spectral_report(A, edge_eps=0.0):
     """Bundle every spectral measurement of one stochastic matrix."""
-    A = A if isinstance(A, StochasticMatrix) else StochasticMatrix(A)
+    A = validate_stochastic(A)
     w = sorted_eigenvalues(A)
     rho = float(abs(w[1])) if A.n >= 2 else 0.0
     dec = classify(A, edge_eps)

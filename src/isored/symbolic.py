@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import IndexSet
+from .core import _kept_set
 from .errors import (
     DegenerateDeterminant,
     DimensionMismatch,
@@ -302,17 +302,15 @@ class WeightedDigraph:
 
 def is_structural_set(G, S):
     """True iff every non-loop cycle meets ``S`` and no eliminated loop weighs lambda."""
-    S = S if isinstance(S, IndexSet) else IndexSet(S, G.n)
-    kept = set(S.indices)
-    outside = [v for v in range(G.n) if v not in kept]
+    comp = _kept_set(S, G.n).complement()
+    outside = [] if comp is None else comp.array.tolist()
     for v in outside:
         if G.weight(v, v) == RF_LAMBDA:
             return False
     # the subgraph induced on the eliminated vertices must be acyclic
     # (ignoring loops): Kahn's algorithm on that subgraph
-    out_set = set(outside)
-    succ = {v: [u for u in G.successors(v) if u in out_set and u != v] for v in outside}
-    indeg = {v: 0 for v in outside}
+    indeg = dict.fromkeys(outside, 0)
+    succ = {v: [u for u in G.successors(v) if u in indeg and u != v] for v in outside}
     for v in outside:
         for u in succ[v]:
             indeg[u] += 1
@@ -330,10 +328,9 @@ def is_structural_set(G, S):
 
 def branches(G, S):
     """Enumerate every branch of ``(G, S)``: interiors eliminated, endpoints free."""
-    S = S if isinstance(S, IndexSet) else IndexSet(S, G.n)
+    S = _kept_set(S, G.n)
     if not is_structural_set(G, S):
         raise NotStructural(f"{S!r} is not a structural set of the graph")
-    kept = set(S.indices)
     found = []
 
     def extend(path):
@@ -345,7 +342,7 @@ def branches(G, S):
             if u in path:
                 continue
             found.append(Branch(tuple(path) + (u,)))
-            if u not in kept:
+            if u not in S:
                 extend(path + [u])
 
     for start in range(G.n):
@@ -373,23 +370,23 @@ def graph_reduce(G, S):
     canonical form of :class:`RationalFunction` makes the result independent
     of the elimination order.
     """
-    S = S if isinstance(S, IndexSet) else IndexSet(S, G.n)
+    S = _kept_set(S, G.n)
     if not is_structural_set(G, S):
         raise NotStructural(f"{S!r} is not a structural set of the graph")
-    pos = {v: k for k, v in enumerate(S.indices)}
+    comp = S.complement()
     w = dict(G.weights)
-    for v in range(G.n):
-        if v in pos:
-            continue
+    for v in [] if comp is None else comp.array.tolist():
         den = RF_LAMBDA - w.pop((v, v), RF_ZERO)
         ins = [(i, w.pop((i, v)) / den) for (i, j) in list(w) if j == v]
         outs = [(j, w.pop((v, j))) for (i, j) in list(w) if i == v]
         for i, a in ins:
             for j, b in outs:
                 w[(i, j)] = w.get((i, j), RF_ZERO) + a * b
-    out = WeightedDigraph(len(pos), labels=tuple(G.labels[v] for v in S.indices))
-    for (i, j), x in w.items():
-        out.add_edge(pos[i], pos[j], x)
+    out = WeightedDigraph(len(S), labels=[G.labels[v] for v in S])
+    # every edge left runs between kept vertices; renumber them by rank in S
+    at = np.searchsorted(S.array, np.array(list(w), dtype=np.intp).reshape(-1, 2))
+    for (i, j), x in zip(at.tolist(), w.values()):
+        out.add_edge(i, j, x)
     return out
 
 

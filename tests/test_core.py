@@ -16,6 +16,7 @@ from isored.core import (
     submatrix,
     validate_stochastic,
 )
+from isored import randgen, reduction, solvers, spectral, symbolic
 from isored.errors import (
     ColumnSumViolation,
     DimensionMismatch,
@@ -156,6 +157,24 @@ class TestProbabilityVector:
         np.testing.assert_allclose(v.values, [0.25, 0.75])
 
 
+class _TupleIndexSet:
+    """The tuple-of-ints index set the array-backed one replaced: the parity reference."""
+
+    def __init__(self, indices, n):
+        idx = sorted({int(i) for i in indices})
+        if not idx:
+            raise IndexOutOfRange("index set must be non-empty")
+        if idx[0] < 0 or idx[-1] >= n:
+            bad = idx[0] if idx[0] < 0 else idx[-1]
+            raise IndexOutOfRange(f"index {bad} outside [0, {n})")
+        self.indices = tuple(idx)
+        self.n = int(n)
+
+
+def _is_int_tuple(t):
+    return type(t) is tuple and all(type(i) is int for i in t)
+
+
 class TestIndexSet:
     def test_one_based_round_trip(self):
         S = IndexSet.from_one_based([3, 1], 5)
@@ -170,6 +189,135 @@ class TestIndexSet:
     def test_empty_rejected(self):
         with pytest.raises(IndexOutOfRange):
             IndexSet([], 3)
+
+    def test_construction_matches_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            raw = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1))).tolist()
+            ref = _TupleIndexSet(raw, n)
+            lo, hi = min(raw), max(raw) + 1
+            assert IndexSet(range(lo, hi), n).indices == _TupleIndexSet(range(lo, hi), n).indices
+            for arg in (raw, tuple(raw), set(raw), (i for i in raw),
+                        np.array(raw, dtype=np.int64), np.array(raw, dtype=np.int32)):
+                S = IndexSet(arg, n)
+                assert S.indices == ref.indices and S.n == n
+                assert _is_int_tuple(S.indices) and _is_int_tuple(S.one_based)
+                assert S.one_based == tuple(i + 1 for i in ref.indices)
+                assert list(S) == list(ref.indices) and all(type(i) is int for i in S)
+                assert len(S) == len(ref.indices)
+
+    @pytest.mark.parametrize("raw, n", [([], 3), ([0, 5], 3), ([-1, 2], 3), ([3], 3), (np.array([], dtype=int), 4)])
+    def test_errors_match_reference(self, raw, n):
+        with pytest.raises(IndexOutOfRange) as ref:
+            _TupleIndexSet(raw, n)
+        with pytest.raises(IndexOutOfRange) as new:
+            IndexSet(raw, n)
+        assert str(new.value) == str(ref.value)
+
+    def test_complement_membership_equality(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            raw = rng.integers(0, n, size=int(rng.integers(1, n + 1))).tolist()
+            S = IndexSet(raw, n)
+            rest = [v for v in range(n) if v not in set(raw)]
+            comp = S.complement()
+            assert (comp is None) == (not rest) == S.is_full()
+            if comp is not None:
+                assert comp.indices == tuple(rest) and comp.n == n
+                assert S.complement() is comp  # computed once
+            for v in range(-1, n + 1):
+                assert (v in S) == (v in set(raw))
+            twin = IndexSet(list(reversed(raw)), n)
+            assert twin == S and hash(twin) == hash(S)
+            assert S != IndexSet(raw, n + 1) and S != S.indices
+            if comp is not None:
+                assert comp != S
+
+    def test_membership_of_other_types(self):
+        S = IndexSet([1, 3], 5)
+        assert 3.0 in S and np.int64(1) in S
+        assert 2.5 not in S and "a" not in S and None not in S
+
+    def test_array_is_read_only(self):
+        S = IndexSet([2, 0], 3)
+        with pytest.raises(ValueError):
+            S.array[0] = 1
+        with pytest.raises(ValueError):
+            S.complement().array[0] = 0
+
+    def test_selection_matches_reference(self, monkeypatch):
+        """select_subset keeps the same sets as with the tuple-backed index set."""
+        rng = np.random.default_rng(9)
+        cases = []
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            s = int(rng.integers(1, n + 1))
+            A = rand_stochastic(rng, n)
+            for strategy in (reduction.FirstS(s), reduction.RandomS(s, int(rng.integers(1000))),
+                             reduction.PivotGreedy(s)):
+                cases.append((A, strategy, reduction.select_subset(A, strategy)))
+        monkeypatch.setattr(reduction, "IndexSet", _TupleIndexSet)
+        for A, strategy, S in cases:
+            assert S.indices == reduction.select_subset(A, strategy).indices, strategy
+
+
+def _graph5():
+    M = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
+    return symbolic.WeightedDigraph.from_matrix(M)
+
+
+_KEPT_SET_ENTRIES = {
+    "reduce_block": lambda A, G, S: reduction.reduce_block(A, S),
+    "reduce_at": lambda A, G, S: reduction.reduce_at(A, S),
+    "reduce_sequential": lambda A, G, S: reduction.reduce_sequential(A, S),
+    "submatrix": lambda A, G, S: submatrix(A, S, IndexSet(range(5), 5)),
+    "is_structural_set": lambda A, G, S: symbolic.is_structural_set(G, S),
+    "branches": lambda A, G, S: symbolic.branches(G, S),
+    "graph_reduce": lambda A, G, S: symbolic.graph_reduce(G, S),
+}
+
+
+class TestKeptSetAdmission:
+    """Every entry point that takes a kept set refuses one built for another n."""
+
+    @pytest.mark.parametrize("entry", sorted(_KEPT_SET_ENTRIES))
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_wrong_size_refused(self, entry, n):
+        A = rand_stochastic(np.random.default_rng(10), 5)
+        with pytest.raises(DimensionMismatch):
+            _KEPT_SET_ENTRIES[entry](A, _graph5(), IndexSet([0, 1], n))
+
+
+_STOCHASTIC_ENTRIES = {
+    "reduce_block": lambda A: reduction.reduce_block(A, [0, 1]),
+    "eliminate_node": lambda A: reduction.eliminate_node(A, 2),
+    "reduce_sequential": lambda A: reduction.reduce_sequential(A, [0, 1]),
+    "select_subset": lambda A: reduction.select_subset(A, reduction.PivotGreedy(2)),
+    "perron_frobenius": lambda A: solvers.perron_frobenius(A),
+    "direct_stationary": lambda A: solvers.direct_stationary(A),
+    "estimate_inner_radius": lambda A: solvers.estimate_inner_radius(A, np.full(A.n, 1 / A.n)),
+    "isospectral_stationary": lambda A: solvers.isospectral_stationary(A),
+    "spectral_report": lambda A: spectral.spectral_report(A),
+    "make_two_block": lambda A: randgen.make_two_block(0.25, 0.15, A),
+}
+
+
+class TestNonNegativeInput:
+    """A column-stochastic NonNegativeMatrix is as good as a StochasticMatrix."""
+
+    @pytest.mark.parametrize("entry", sorted(_STOCHASTIC_ENTRIES))
+    def test_stochastic_accepted(self, entry):
+        A = rand_stochastic(np.random.default_rng(11), 4)
+        _STOCHASTIC_ENTRIES[entry](NonNegativeMatrix(A.data))
+
+    @pytest.mark.parametrize("entry", sorted(_STOCHASTIC_ENTRIES))
+    def test_column_sums_checked(self, entry):
+        data = np.array(rand_stochastic(np.random.default_rng(11), 4).data)
+        data[:, 1] *= 1.5
+        with pytest.raises(ColumnSumViolation):
+            _STOCHASTIC_ENTRIES[entry](NonNegativeMatrix(data))
 
 
 class TestInvariants:

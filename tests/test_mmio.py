@@ -29,8 +29,9 @@ class TestMatrixRoundTrip:
     def test_coordinate_header_and_indices(self, tmp_path, example3):
         path = tmp_path / "c.mtx"
         write_matrix(path, StochasticMatrix(sp.csc_matrix(example3.dense)))
-        lines = [ln.strip() for ln in open(path) if ln.strip() and not ln.startswith("%")]
-        header = open(path).readline().strip()
+        text = path.read_text().splitlines()
+        lines = [ln.strip() for ln in text if ln.strip() and not ln.startswith("%")]
+        header = text[0].strip()
         assert header == "%%MatrixMarket matrix coordinate real general"
         n, m, nnz = (int(t) for t in lines[0].split())
         assert (n, m, nnz) == (3, 3, 5)
@@ -41,7 +42,7 @@ class TestMatrixRoundTrip:
     def test_array_header(self, tmp_path, example3):
         path = tmp_path / "arr.mtx"
         write_matrix(path, example3)
-        header = open(path).readline().strip()
+        header = path.read_text().splitlines()[0].strip()
         assert header == "%%MatrixMarket matrix array real general"
 
     def test_density_policy_on_read(self, tmp_path):
@@ -63,7 +64,7 @@ class TestVectorFiles:
     def test_format(self, tmp_path):
         path = tmp_path / "v.txt"
         write_vector(path, [1.0, 2.5])
-        lines = open(path).read().splitlines()
+        lines = path.read_text().splitlines()
         assert lines[0] == "2"
         assert float(lines[1]) == 1.0 and float(lines[2]) == 2.5
 
