@@ -16,12 +16,12 @@ does not depend on the elimination order.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .core import (
     SPARSE_DENSITY_THRESHOLD,
@@ -98,65 +98,68 @@ def _csr(shape, rows, cols, vals):
 def _independent_set(core, rows, cols):
     """Greedy maximal independent set of an off-diagonal pattern on ``core``.
 
-    ``rows``/``cols`` list the off-diagonal entries among core vertices, in
-    row order.  Vertices are visited by ascending degree (entries in their
-    row and column), ties by index, so the set is deterministic.  Returns the
+    ``rows``/``cols`` list the off-diagonal entries among core vertices.
+    Vertices are ranked by ascending degree (entries in their row and
+    column), ties by index, and the set is the one a greedy pass in rank
+    order takes.  It is built in rounds: a free vertex with no free
+    lower-ranked neighbour joins, and its neighbours leave.  Returns the
     vertices in ascending order.
     """
     n = core.size
-    out_ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=out_ptr[1:])
-    in_ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cols, minlength=n), out=in_ptr[1:])
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
     cand = np.flatnonzero(core)
-    degree = np.diff(out_ptr) + np.diff(in_ptr)
-    order = cand[np.argsort(degree[cand], kind="stable")]
-    outs, ins = cols.tolist(), rows[np.argsort(cols)].tolist()
-    out_ptr, in_ptr = out_ptr.tolist(), in_ptr.tolist()
-    blocked = bytearray(n)
-    taken = []
-    for k in order.tolist():
-        if not blocked[k]:
-            taken.append(k)
-            for j in outs[out_ptr[k] : out_ptr[k + 1]]:
-                blocked[j] = 1
-            for j in ins[in_ptr[k] : in_ptr[k + 1]]:
-                blocked[j] = 1
-    return np.sort(np.array(taken, dtype=np.intp))
+    rank = np.empty(n, dtype=np.intp)
+    rank[cand[np.argsort(degree[cand], kind="stable")]] = np.arange(cand.size)
+    # each edge as (hi, lo): hi ranks after lo and cannot join while lo is free
+    first = rank[cols] < rank[rows]
+    hi = np.where(first, rows, cols)
+    lo = np.where(first, cols, rows)
+    free, taken = core.copy(), np.zeros(n, dtype=bool)
+    while hi.size:
+        join = free.copy()
+        join[hi] = False
+        taken |= join
+        free &= ~join
+        free[hi[join[lo]]] = False
+        live = free[hi] & free[lo]
+        hi, lo = hi[live], lo[live]
+    return np.flatnonzero(taken | free)
 
 
 def _peel(data, keep, drop, lam):
     """Sparse half of :func:`_schur`: peel independent sets down to a dense core.
 
     Works in local numbering (eliminated vertices ``0..d-1``, then kept ones)
-    on the eliminated rows; returns ``(top, levels, Q, G, C, f, anorm)``.
+    on the entries of the eliminated rows.  Fill is appended, not merged: a
+    position may repeat, its entries add up, and the density test counts
+    stored entries.  Returns ``(top, levels, Q, GC, f, anorm)`` with ``GC =
+    [lam I - M[Q,Q] | M[Q,S]]`` in Fortran order.
     """
     n, d, s = data.shape[0], drop.size, keep.size
     loc = np.empty(n, dtype=np.intp)
     loc[drop] = np.arange(d)
     loc[keep] = d + np.arange(s)
-    A = data.tocsr()
-    M = A[drop]
-    M = sp.csr_matrix((M.data, loc[M.indices], M.indptr), shape=(d, n))
-    top = A[keep]
-    top = sp.csr_matrix((top.data, loc[top.indices], top.indptr), shape=(s, n))
+    A = data.tocsc()
+    rows, cols, vals = loc[A.indices], np.repeat(loc, np.diff(A.indptr)), A.data
+    mine = rows < d
+    t = np.flatnonzero(~mine)
+    t = t[np.argsort(rows[t], kind="stable")]
+    top = _csr((s, n), rows[t] - d, cols[t], vals[t])  # A[S,:]
+    rows, cols, vals = rows[mine], cols[mine], vals[mine]
 
-    core = np.zeros(n, dtype=bool)
-    core[:d] = True
-    rows = np.repeat(np.arange(d), np.diff(M.indptr))
-    cols, vals = M.indices, M.data
-    diag = np.zeros(d)
     off = rows != cols
-    diag[rows[~off]] = vals[~off]
+    diag = np.bincount(rows[~off], vals[~off], minlength=d)
     block = off & (cols < d)
     anorm = (np.bincount(cols[block], vals[block], minlength=d) + np.abs(lam - diag)).max()
 
+    core = np.zeros(n, dtype=bool)
+    core[:d] = True
     f = core.astype(np.float64)  # right-hand side of (lam I - B)^T y = 1, folded forward
     slot = np.empty(n, dtype=np.intp)
     levels = []
+    q = d
     while True:
-        q = np.count_nonzero(core)
-        within = core[rows] & core[cols]
+        within = cols < d  # every row left is a core row
         if q == 0 or np.count_nonzero(within) >= SPARSE_DENSITY_THRESHOLD * q * q:
             break
         within &= off
@@ -171,37 +174,39 @@ def _peel(data, keep, drop, lam):
         peel = np.zeros(n, dtype=bool)
         peel[P] = True
         core[P] = False
+        q -= P.size
         slot[P] = np.arange(P.size)
-        out = peel[rows] & off
-        into = peel[cols] & off
+        out = np.flatnonzero(peel[rows] & off)
+        out = out[np.argsort(slot[rows[out]], kind="stable")]
         r_out, c_out = slot[rows[out]], cols[out]
         w = vals[out] / piv[r_out]
-        r_in, c_in, v_in = rows[into], slot[cols[into]], vals[into]
         W = _csr((P.size, n), r_out, c_out, w)  # diag(1/piv) M[P,T]
-        V = _csr((d, P.size), r_in, c_in, v_in)  # M[T,P]
+        into = peel[cols] & off
+        r_in, c_in, v_in = rows[into], slot[cols[into]], vals[into]  # M[T,P]
         f_P = f[P]
         f += np.bincount(c_out, w * f_P[r_out], minlength=n)
         levels.append((P, piv, W, (r_in, c_in, v_in), f_P))
+        # fill M[T,P] W: each entry of M[T,P] times the W row of its pivot
+        ptr = W.indptr
+        cnt = ptr[c_in + 1] - ptr[c_in]
+        take = np.arange(cnt.sum()) + np.repeat(ptr[c_in] - (np.cumsum(cnt) - cnt), cnt)
         rest = ~(peel[rows] | peel[cols])
-        M = _csr((d, n), rows[rest], cols[rest], vals[rest]) + V @ W
-        rows = np.repeat(np.arange(d), np.diff(M.indptr))
-        cols, vals = M.indices, M.data
+        rows = np.concatenate((rows[rest], np.repeat(r_in, cnt)))
+        cols = np.concatenate((cols[rest], c_out[take]))
+        vals = np.concatenate((vals[rest], np.repeat(v_in, cnt) * w[take]))
         off = rows != cols
-        diag[rows[~off]] = vals[~off]
+        diag = np.bincount(rows[~off], vals[~off], minlength=d)
 
     Q = np.flatnonzero(core)
-    q = Q.size
     at = np.empty(n, dtype=np.intp)
     at[Q] = np.arange(q)
     at[d:] = q + np.arange(s)
-    r_at, c_at = at[rows], at[cols]
-    inner = c_at < q
-    G = np.zeros((q, q), order="F")  # lam I - M[Q,Q]
-    G.T.flat[c_at[inner] * q + r_at[inner]] = -vals[inner]
-    G.T.flat[:: q + 1] += lam
-    C = np.zeros((q, s), order="F")  # M[Q,S]
-    C.T.flat[(c_at[~inner] - q) * q + r_at[~inner]] = vals[~inner]
-    return top, levels, Q, G, C, f, anorm
+    c_at = at[cols]
+    signed = np.where(c_at < q, -vals, vals)  # repeated positions add up in bincount
+    GC = np.bincount(c_at * q + at[rows], signed, minlength=q * (q + s))
+    GC = GC.astype(np.float64, copy=False).reshape(q + s, q).T  # no entries: int zeros
+    GC.T.reshape(-1)[: q * q : q + 1] += lam
+    return top, levels, Q, GC, f, anorm
 
 
 def _check_condition(cond):
@@ -231,12 +236,15 @@ def _schur(data, keep, drop, lam):
     the Perron scaling at a dominant eigenvalue), and so is every Schur
     complement of it.
 
-    One tail serves both: an in-place LU of the core ``G = lam I - M[Q,Q]``,
-    the lift ``G^-1 M[Q,S]`` folded back level by level with ``X[P] = W @
-    X[T]``, ``W = diag(1/(lam - m_pp)) M[P,T]``, and ``R = A[S,:] @ [lift;
-    I]``.  An M-matrix has a non-negative inverse, so the 1-norm condition
-    number is exact: ``||(lam I - B)^-1||_1 = max y``, ``(lam I - B)^T y =
-    1``, solved through the same levels and one transposed solve on the core.
+    One tail serves both: one in-place LU of the bordered core ``[G | C]``,
+    ``G = lam I - M[Q,Q]``, ``C = M[Q,S]`` (pivots come from G's columns,
+    and C becomes ``L^-1 P C``), one triangular solve for the lift rows
+    ``G^-1 C``, the rest of the lift folded back level by level with ``X[P]
+    = W @ X[T]``, ``W = diag(1/(lam - m_pp)) M[P,T]``, and ``R = A[S,:] @
+    [lift; I]``.  An M-matrix has a non-negative inverse, so the 1-norm
+    condition number is exact: ``||(lam I - B)^-1||_1 = max y``, ``(lam I -
+    B)^T y = 1``, solved through the same levels and one transposed solve on
+    the core.
     Conversely ``y > 0`` proves that the Z-matrix ``lam I - B`` is a
     nonsingular M-matrix, so a block that fails it is refused: a numerically
     singular one can return a hugely negative ``y``, and ``reduce_at`` below
@@ -244,31 +252,34 @@ def _schur(data, keep, drop, lam):
     """
     d, s = drop.size, keep.size
     if sp.issparse(data):
-        top, levels, Q, G, C, f, anorm = _peel(data, keep, drop, lam)
+        top, levels, Q, GC, f, anorm = _peel(data, keep, drop, lam)
     else:
-        top = data[keep][:, np.concatenate((drop, keep))]
+        order = np.concatenate((drop, keep))
+        top = data[keep][:, order]
         levels, Q, f = [], np.arange(d), np.ones(d)
-        G = np.negative(data[drop][:, drop], order="F")  # lam I - B
-        G.T.flat[:: d + 1] += lam
-        C = data[drop][:, keep]
+        GC = np.asfortranarray(data[drop][:, order])
+        G = GC[:, :d]
+        np.negative(G, out=G)  # lam I - B
+        GC.T.reshape(-1)[: d * d : d + 1] += lam
         anorm = np.abs(G).sum(axis=0).max()
 
+    q = Q.size
     y = np.zeros(d)
-    if Q.size:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # exactly singular -> non-finite y below
-            lu = sla.lu_factor(G, overwrite_a=True, check_finite=False)
-        y[Q] = sla.lu_solve(lu, f[Q], trans=1, check_finite=False)
-    for P, piv, _, (r_in, c_in, v_in), f_P in reversed(levels):
-        y[P] = (f_P + np.bincount(c_in, v_in * y[r_in], minlength=P.size)) / piv
+    if q:
+        # one LU of [G | C]: pivots come from G's columns, C becomes L^-1 P C
+        GC, piv, _ = lapack.dgetrf(GC, overwrite_a=True)
+        LU = GC[:, :q]
+        y[Q] = sla.lu_solve((LU, piv), f[Q], trans=1, check_finite=False)
+    for P, piv_P, _, (r_in, c_in, v_in), f_P in reversed(levels):
+        y[P] = (f_P + np.bincount(c_in, v_in * y[r_in], minlength=P.size)) / piv_P
     # y > 0 certifies the M-matrix; a singular block, or one outside the contract, gets inf
     cond = anorm * y.max() if anorm and y.min() > 0 else np.inf
     _check_condition(cond)
 
     X = np.zeros((d + s, s))
     X[d:] = np.eye(s)
-    if Q.size:
-        X[Q] = sla.lu_solve(lu, C, overwrite_b=True, check_finite=False)
+    if q:
+        X[Q] = sla.solve_triangular(LU, GC[:, q:], overwrite_b=True, check_finite=False)
     for P, _, W, _, _ in reversed(levels):
         X[P] = W @ X
     lift = X[:d]

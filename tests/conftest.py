@@ -1,5 +1,14 @@
 """Shared generators for the test suite."""
 
+import os
+
+# One BLAS thread unless the caller chooses, as in the CI workflow and
+# perfbench.  Set before NumPy loads OpenBLAS.  The dense cores here are a
+# few hundred wide, where a second thread gains little, and on a host with
+# shared vCPUs a threaded call after the pool has idled can stall for 30-160
+# ms, which criterion 9c's single-shot timings would record as scheme time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from fractions import Fraction
 
 import numpy as np

@@ -34,6 +34,7 @@ from isored.reduction import (
     reduction_cost,
     select_subset,
 )
+from isored.reduction import _independent_set
 from isored.spectral import diameter_tau, min_entry
 
 from conftest import averaging, rand_stochastic, rand_subset
@@ -236,6 +237,49 @@ def _staged_cases():
     yield StochasticMatrix(sp.csc_matrix(D / D.sum(axis=0))), IndexSet(range(s), n)
 
 
+def _reference_independent_set(core, rows, cols):
+    """The greedy loop the round-based ``_independent_set`` replaced.
+
+    Visits core vertices by (degree, index) and takes each one no taken
+    vertex touches.
+    """
+    n = core.size
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    neighbours = [set() for _ in range(n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    blocked, taken = set(), []
+    for v in sorted(np.flatnonzero(core).tolist(), key=lambda v: (degree[v], v)):
+        if v not in blocked:
+            taken.append(v)
+            blocked |= neighbours[v]
+    return sorted(taken)
+
+
+def _independent_set_cases():
+    """Random off-diagonal patterns with repeats, and the paper's first peel level."""
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        n = int(rng.integers(2, 150))
+        core = rng.random(n) < rng.uniform(0.2, 1.0)
+        members = np.flatnonzero(core)
+        if members.size == 0:
+            continue
+        m = int(rng.integers(0, 8 * members.size))
+        rows, cols = rng.choice(members, m), rng.choice(members, m)
+        off = rows != cols
+        yield core, rows[off], cols[off]
+    for k in range(3):
+        A, gen_seed = _burr(1000, 4, 1, k)
+        drop = select_subset(A, RandomS(90, gen_seed + 1)).complement().array
+        B = sp.coo_matrix(A.data[drop][:, drop])
+        off = B.row != B.col
+        core = np.zeros(1000, dtype=bool)
+        core[: drop.size] = True
+        yield core, B.row[off].astype(np.intp), B.col[off].astype(np.intp)
+
+
 class TestStagedElimination:
     """``reduce_block`` on sparse input: independent-set peel plus dense core."""
 
@@ -298,6 +342,14 @@ class TestStagedElimination:
         with pytest.raises(SingularElimination) as info:
             reduce_block(A, S)
         assert info.value.condition > SINGULAR_CONDITION
+
+    def test_independent_set_matches_greedy_loop(self):
+        count = 0
+        for core, rows, cols in _independent_set_cases():
+            P = _independent_set(core, rows, cols)
+            assert P.tolist() == _reference_independent_set(core, rows, cols)
+            count += 1
+        assert count >= 200
 
 
 class TestEliminateNode:
