@@ -56,7 +56,6 @@ class RunConfig:
     baseline: str = "direct"     # "direct" | "pf"
     p: int = 8
     max_iters: int = 10**6
-    output: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -65,56 +64,55 @@ class RunConfig:
             raise ValueError(f"baseline must be 'direct' or 'pf', got {self.baseline!r}")
 
 
-def run_trial(cfg, k):
-    """One generate/measure/solve/solve round; returns a BenchRecord."""
-    gen_seed = np.random.SeedSequence([cfg.seed, k]).generate_state(1)[0]
+def _trial_inputs(cfg, k):
+    """Instance ``k`` of a run and the solver configuration its trial uses."""
+    gen_seed = int(np.random.SeedSequence([cfg.seed, k]).generate_state(1)[0])
     A = gen_sparse_stochastic(
         SparseGenConfig(n=cfg.n, nnz_per_col=cfg.nnz, burr=BurrConfig(cfg.alpha), seed=gen_seed)
     )
-    rho = inner_spectral_radius(A)
-    flags = []
-
     solver_cfg = SolverConfig(
         p=cfg.p,
         max_iters=cfg.max_iters,
-        seed=int(gen_seed),
+        seed=gen_seed,
         s=cfg.s,
-        strategy=RandomS(cfg.s, seed=int(gen_seed) + 1),
+        strategy=RandomS(cfg.s, seed=gen_seed + 1),
         max_rereductions=0,
     )
+    return A, solver_cfg
 
-    v1 = e1 = t1 = None
-    try:
-        t0 = time.perf_counter()
-        base = (direct_stationary(A) if cfg.baseline == "direct"
-                else perron_frobenius(A, solver_cfg))
-        t1 = time.perf_counter() - t0
-        v1, e1 = base.v.values, base.residual
-        flags.extend(f"baseline:{f}" for f in base.flags)
-    except IsoredError as exc:
-        t1 = time.perf_counter() - t0
-        flags.append(f"baseline_failed:{type(exc).__name__}")
 
-    v2 = e2 = t2 = None
+def _timed(label, flags, solve):
+    """Time one solve.  A typed failure is timed too, flagged, and gives ``None``."""
+    t0 = time.perf_counter()
     try:
-        t0 = time.perf_counter()
-        scheme = isospectral_stationary(A, solver_cfg)
-        t2 = time.perf_counter() - t0
-        v2, e2 = scheme.v.values, scheme.residual
-        flags.extend(f"scheme:{f}" for f in scheme.flags)
+        out = solve()
     except IsoredError as exc:
-        t2 = time.perf_counter() - t0
-        flags.append(f"scheme_failed:{type(exc).__name__}")
+        elapsed = time.perf_counter() - t0
+        flags.append(f"{label}_failed:{type(exc).__name__}")
+        return None, elapsed
+    elapsed = time.perf_counter() - t0
+    flags.extend(f"{label}:{f}" for f in out.flags)
+    return out, elapsed
+
+
+def run_trial(cfg, k):
+    """One generate/measure/solve/solve round; returns a BenchRecord."""
+    A, solver_cfg = _trial_inputs(cfg, k)
+    rho = inner_spectral_radius(A)
+    flags = []
+    base, t1 = _timed("baseline", flags, lambda: direct_stationary(A) if cfg.baseline == "direct"
+                      else perron_frobenius(A, solver_cfg))
+    scheme, t2 = _timed("scheme", flags, lambda: isospectral_stationary(A, solver_cfg))
 
     nan = float("nan")
-    d = float(np.linalg.norm(v1 - v2)) if v1 is not None and v2 is not None else nan
+    both = base is not None and scheme is not None
     return BenchRecord(
         rho_i=float(rho),
         t1=float(t1),
         t2=float(t2),
-        e1=float(e1) if e1 is not None else nan,
-        e2=float(e2) if e2 is not None else nan,
-        d=d,
+        e1=float(base.residual) if base is not None else nan,
+        e2=float(scheme.residual) if scheme is not None else nan,
+        d=float(np.linalg.norm(base.v.values - scheme.v.values)) if both else nan,
         flags=tuple(flags),
     )
 
@@ -123,12 +121,8 @@ def run_comparison(cfg, parallel=0):
     """Run every trial; ``parallel`` > 1 fans them out to worker processes."""
     if parallel and parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            records = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
-    else:
-        records = [run_trial(cfg, k) for k in range(cfg.trials)]
-    if cfg.output:
-        write_csv(cfg.output, records)
-    return records
+            return list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
+    return [run_trial(cfg, k) for k in range(cfg.trials)]
 
 
 def _quartiles(values):

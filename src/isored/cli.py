@@ -158,11 +158,12 @@ def cmd_bench(args):
     cfg = bench.RunConfig(
         trials=args.trials, n=args.n, nnz=args.nnz, alpha=args.alpha,
         s=args.keep, seed=args.seed, baseline=args.baseline,
-        p=args.p, max_iters=args.max_iters, output=args.output,
+        p=args.p, max_iters=args.max_iters,
     )
     records = bench.run_comparison(cfg, parallel=args.parallel)
     print(bench.format_summary(bench.summarize(records)))
     if args.output:
+        bench.write_csv(args.output, records)
         print(f"wrote {len(records)} rows to {args.output}")
     return 0 if all(r.ok for r in records) else 1
 

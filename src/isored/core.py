@@ -280,7 +280,8 @@ def project_columns(M):
 
 
 def submatrix(M, rows, cols):
-    """Extract the |rows| x |cols| block with the given index order preserved."""
+    """Extract the |rows| x |cols| block; kept sets are sorted, so its rows and
+    columns come in ascending index order, whatever order the indices are given in."""
     data = M.data if isinstance(M, NonNegativeMatrix) else M
     n, m = data.shape
     rows, cols = _kept_set(rows, n), _kept_set(cols, m)

@@ -19,17 +19,20 @@ The quantities computed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .core import NonNegativeMatrix, one_norm, validate_stochastic
 from .errors import DimensionMismatch, EigensolverFailure
 
 def _data(M):
     return M.data if isinstance(M, NonNegativeMatrix) else np.asarray(M, dtype=np.float64)
+
+
+def _dense(M):
+    return M.dense if isinstance(M, NonNegativeMatrix) else np.asarray(M, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class SpectralReport:
 
 def diameter_tau(A):
     """max over column pairs of half the 1-norm of their difference."""
-    M = A.dense if isinstance(A, NonNegativeMatrix) else np.asarray(A, dtype=np.float64)
+    M = _dense(A)
     n = M.shape[1]
     best = 0.0
     for j in range(n - 1):
@@ -96,7 +99,7 @@ def min_entry(A):
 
 def sorted_eigenvalues(A):
     """All eigenvalues, sorted by decreasing modulus, ties by decreasing real part."""
-    M = A.dense if isinstance(A, NonNegativeMatrix) else np.asarray(A, dtype=np.float64)
+    M = _dense(A)
     try:
         w = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
@@ -118,38 +121,21 @@ def spectral_gap(A):
     return 1.0 - inner_spectral_radius(A)
 
 
-def _adjacency(A, edge_eps=0.0):
-    """Boolean adjacency of the transition digraph: edge i -> j iff a[j, i] > eps."""
+def _edges(A, edge_eps=0.0):
+    """Edges ``i -> j`` of the transition digraph, one per entry ``a[j, i] > edge_eps``,
+    in order of their source ``i``."""
     data = _data(A)
-    if sp.issparse(data):
-        coo = data.T.tocoo()
-        keep = coo.data > edge_eps
-        ones = np.ones(int(keep.sum()))
-        return sp.csr_matrix((ones, (coo.row[keep], coo.col[keep])), shape=coo.shape)
-    return sp.csr_matrix(data.T > edge_eps)
+    if sp.issparse(data):  # CSC: column i holds the edges out of i
+        keep = data.data > edge_eps
+        src = np.repeat(np.arange(data.shape[1]), np.diff(data.indptr))
+        return src[keep], data.indices[keep]
+    return np.divmod(np.flatnonzero(data.T > edge_eps), data.shape[0])
 
 
-def _period(adj_csr, members):
-    """gcd of cycle lengths inside one strongly connected component (BFS levels)."""
-    members = list(members)
-    local = {v: k for k, v in enumerate(members)}
-    level = {members[0]: 0}
-    queue = [members[0]]
-    g = 0
-    indptr, indices = adj_csr.indptr, adj_csr.indices
-    while queue:
-        u = queue.pop()
-        lu = level[u]
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            v = int(v)
-            if v not in local:
-                continue
-            if v in level:
-                g = gcd(g, lu + 1 - level[v])
-            else:
-                level[v] = lu + 1
-                queue.append(v)
-    return abs(g) if g else 1
+def _digraph(src, dst, n):
+    """CSR adjacency of edges sorted by source."""
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    return sp.csr_array((np.ones(src.size), dst, indptr), shape=(n, n))
 
 
 def classify(A, edge_eps=0.0):
@@ -160,43 +146,42 @@ def classify(A, edge_eps=0.0):
     *essential* when no edge leaves it.  ``edge_eps`` treats entries at or
     below the threshold as absent, for noisy inputs.
     """
-    adj = _adjacency(A, edge_eps)
-    n = adj.shape[0]
-    ncomp, labels = connected_components(adj, directed=True, connection="strong")
-    groups = [[] for _ in range(ncomp)]
-    for v, lab in enumerate(labels):
-        groups[lab].append(v)
+    src, dst = _edges(A, edge_eps)
+    n = _data(A).shape[0]
+    _, labels = connected_components(_digraph(src, dst, n), directed=True, connection="strong")
+    # each component is named by its smallest member: classes sort by it and
+    # the level search starts from it
+    root = np.unique(labels, return_index=True)[1][labels]
+    inside = root[src] == root[dst]
+    src_in, dst_in, owner = src[inside], dst[inside], root[src[inside]]
+    cyclic = np.zeros(n, dtype=bool)
+    cyclic[owner] = True
+    leaks = np.zeros(n, dtype=bool)
+    leaks[root[src[~inside]]] = True
+    roots = np.flatnonzero(cyclic)
 
-    has_loop = np.zeros(n, dtype=bool)
-    diag = adj.diagonal()
-    has_loop[: diag.size] = diag > 0
+    # the period of a class is the gcd of level(u) + 1 - level(v) over its
+    # edges u -> v, where level is the breadth-first distance from the class's
+    # smallest member along edges inside classes (Denardo 1977); an edge
+    # between classes would mix two searches
+    level = dijkstra(_digraph(src_in, dst_in, n), indices=roots, min_only=True, unweighted=True)
+    periods = np.zeros(n, dtype=np.int64)
+    np.gcd.at(periods, owner, (level[src_in] + 1 - level[dst_in]).astype(np.int64))
 
-    classes, flags, periods, transient = [], [], [], []
-    indptr, indices = adj.indptr, adj.indices
-    for members in groups:
-        if len(members) == 1 and not has_loop[members[0]]:
-            transient.append(members[0])
-            continue
-        mset = set(members)
-        essential = True
-        for u in members:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if int(v) not in mset:
-                    essential = False
-                    break
-            if not essential:
-                break
-        classes.append(tuple(sorted(members)))
-        flags.append(essential)
-        periods.append(_period(adj, members))
-
-    order = np.argsort([c[0] for c in classes]) if classes else []
+    members = np.argsort(root, kind="stable")
+    members = members[cyclic[root[members]]]
+    ends = np.cumsum(np.bincount(root, minlength=n)[roots])
     return ClassDecomposition(
-        classes=tuple(classes[k] for k in order),
-        essential_flags=tuple(flags[k] for k in order),
-        periods=tuple(periods[k] for k in order),
-        transient=tuple(sorted(transient)),
+        classes=tuple(tuple(c.tolist()) for c in np.split(members, ends)[:-1]),
+        essential_flags=tuple((~leaks[roots]).tolist()),
+        periods=tuple(periods[roots].tolist()),
+        transient=tuple(np.flatnonzero(~cyclic[root]).tolist()),
     )
+
+
+def _non_critical(dec):
+    """Exactly one essential class, and it is aperiodic."""
+    return [p for p, ess in zip(dec.periods, dec.essential_flags) if ess] == [1]
 
 
 def is_non_critical(A, edge_eps=0.0):
@@ -204,14 +189,12 @@ def is_non_critical(A, edge_eps=0.0):
 
     Purely combinatorial; equivalent to ``inner_spectral_radius(A) < 1``.
     """
-    dec = classify(A, edge_eps)
-    ess = [k for k, flag in enumerate(dec.essential_flags) if flag]
-    return len(ess) == 1 and dec.periods[ess[0]] == 1
+    return _non_critical(classify(A, edge_eps))
 
 
 def gershgorin(A):
     """One disk per row: center = diagonal entry, radius = off-diagonal abs row sum."""
-    M = A.dense if isinstance(A, NonNegativeMatrix) else np.asarray(A, dtype=np.float64)
+    M = _dense(A)
     radii = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
     return [GershgorinDisk(float(M[i, i]), float(radii[i])) for i in range(M.shape[0])]
 
@@ -234,7 +217,6 @@ def spectral_report(A, edge_eps=0.0):
     w = sorted_eigenvalues(A)
     rho = float(abs(w[1])) if A.n >= 2 else 0.0
     dec = classify(A, edge_eps)
-    ess = [k for k, flag in enumerate(dec.essential_flags) if flag]
     return SpectralReport(
         n=A.n,
         tau=diameter_tau(A),
@@ -243,6 +225,6 @@ def spectral_report(A, edge_eps=0.0):
         m=min_entry(A),
         eigenvalues=tuple(w),
         num_classes=dec.num_classes,
-        num_essential=len(ess),
-        non_critical=len(ess) == 1 and dec.periods[ess[0]] == 1,
+        num_essential=dec.num_essential,
+        non_critical=_non_critical(dec),
     )

@@ -6,6 +6,7 @@ import pytest
 from isored.bench import (
     BenchRecord,
     RunConfig,
+    _timed,
     format_summary,
     read_csv,
     run_comparison,
@@ -13,7 +14,7 @@ from isored.bench import (
     summarize,
     write_csv,
 )
-from isored.errors import EmptyInput
+from isored.errors import EmptyInput, SingularSystem
 
 SMALL = RunConfig(trials=4, n=60, nnz=4, alpha=0.3, s=12, seed=7, max_iters=20000)
 
@@ -59,6 +60,20 @@ class TestRunComparison:
         cfg = RunConfig(trials=1, n=6, nnz=3, alpha=0.3, s=2, seed=0)
         rec = run_trial(cfg, 0)
         assert isinstance(rec, BenchRecord)  # smoke: normal instances work
+
+    def test_timed_call_flags_outcomes_and_typed_failures(self):
+        class Outcome:
+            flags = ("max_iters_exceeded",)
+
+        def refuse():
+            raise SingularSystem("singular")
+
+        flags = []
+        out, t_ok = _timed("baseline", flags, Outcome)
+        failed, t_failed = _timed("scheme", flags, refuse)
+        assert isinstance(out, Outcome) and failed is None
+        assert t_ok >= 0.0 and t_failed >= 0.0
+        assert flags == ["baseline:max_iters_exceeded", "scheme_failed:SingularSystem"]
 
     def test_pf_baseline_mode(self):
         cfg = RunConfig(trials=2, n=60, nnz=4, alpha=0.3, s=12, seed=9,
@@ -136,7 +151,8 @@ class TestCsv:
     def test_header(self, tmp_path, small_records):
         path = tmp_path / "bench.csv"
         write_csv(path, small_records)
-        assert open(path).readline().strip() == "rho_i,t1,t2,e1,e2,d,flags"
+        with open(path) as fh:
+            assert fh.readline().strip() == "rho_i,t1,t2,e1,e2,d,flags"
 
     def test_nan_round_trip(self, tmp_path):
         nan = float("nan")

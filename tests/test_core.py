@@ -100,6 +100,12 @@ class TestSubmatrix:
         out = submatrix(example3, IndexSet([2], 3), IndexSet([0, 1], 3))
         np.testing.assert_array_equal(out, [[0.5, 0.1]])
 
+    def test_unsorted_indices_come_back_ascending(self, example3):
+        for M in (example3, StochasticMatrix(sp.csc_matrix(example3.dense))):
+            out = submatrix(M, [2, 0], [1, 0])
+            out = out.toarray() if sp.issparse(out) else out
+            np.testing.assert_array_equal(out, [[0.0, 0.9], [0.5, 0.1]])
+
     def test_out_of_range(self, example3):
         with pytest.raises(IndexOutOfRange):
             IndexSet([0, 5], 3)

@@ -1,10 +1,17 @@
+from dataclasses import astuple
+from math import gcd
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from isored.core import StochasticMatrix
 from isored.errors import DimensionMismatch
+from isored.randgen import BurrConfig, SparseGenConfig, gen_sparse_stochastic
 from isored.reduction import eliminate_node
 from isored.spectral import (
+    ClassDecomposition,
     classify,
     contraction_check,
     diameter_tau,
@@ -29,6 +36,143 @@ def tau_by_overlap(A):
         for j in range(n):
             smallest = min(smallest, np.minimum(M[:, i], M[:, j]).sum())
     return 1.0 - smallest
+
+
+def _adjacency_by_loops(A, edge_eps=0.0):
+    data = A.data
+    if sp.issparse(data):
+        coo = data.T.tocoo()
+        keep = coo.data > edge_eps
+        ones = np.ones(int(keep.sum()))
+        return sp.csr_matrix((ones, (coo.row[keep], coo.col[keep])), shape=coo.shape)
+    return sp.csr_matrix(data.T > edge_eps)
+
+
+def _period_by_loops(adj_csr, members):
+    """gcd of cycle lengths inside one class, from search-tree levels."""
+    members = list(members)
+    local = {v: k for k, v in enumerate(members)}
+    level = {members[0]: 0}
+    queue = [members[0]]
+    g = 0
+    indptr, indices = adj_csr.indptr, adj_csr.indices
+    while queue:
+        u = queue.pop()
+        lu = level[u]
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            v = int(v)
+            if v not in local:
+                continue
+            if v in level:
+                g = gcd(g, lu + 1 - level[v])
+            else:
+                level[v] = lu + 1
+                queue.append(v)
+    return abs(g) if g else 1
+
+
+def classify_by_loops(A, edge_eps=0.0):
+    """Reference class decomposition: per-vertex and per-edge Python loops."""
+    adj = _adjacency_by_loops(A, edge_eps)
+    n = adj.shape[0]
+    ncomp, labels = connected_components(adj, directed=True, connection="strong")
+    groups = [[] for _ in range(ncomp)]
+    for v, lab in enumerate(labels):
+        groups[lab].append(v)
+
+    has_loop = np.zeros(n, dtype=bool)
+    diag = adj.diagonal()
+    has_loop[: diag.size] = diag > 0
+
+    classes, flags, periods, transient = [], [], [], []
+    indptr, indices = adj.indptr, adj.indices
+    for members in groups:
+        if len(members) == 1 and not has_loop[members[0]]:
+            transient.append(members[0])
+            continue
+        mset = set(members)
+        essential = True
+        for u in members:
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                if int(v) not in mset:
+                    essential = False
+                    break
+            if not essential:
+                break
+        classes.append(tuple(sorted(members)))
+        flags.append(essential)
+        periods.append(_period_by_loops(adj, members))
+
+    order = np.argsort([c[0] for c in classes]) if classes else []
+    return ClassDecomposition(
+        classes=tuple(classes[k] for k in order),
+        essential_flags=tuple(flags[k] for k in order),
+        periods=tuple(periods[k] for k in order),
+        transient=tuple(sorted(transient)),
+    )
+
+
+def _non_critical_by_loops(dec):
+    ess = [k for k, flag in enumerate(dec.essential_flags) if flag]
+    return len(ess) == 1 and dec.periods[ess[0]] == 1
+
+
+def _typed(x):
+    """A value with the Python type of every element spelled out."""
+    if isinstance(x, tuple):
+        return tuple, tuple(_typed(v) for v in x)
+    return type(x), x
+
+
+EDGE_EPS = (0.0, 1e-3)
+
+
+def _fed_periodic_classes(rng):
+    """Two to four block-cyclic classes of periods 1 to 4 in a row, each but
+    the last leaking into random vertices of the next."""
+    groups = []
+    for _ in range(int(rng.integers(2, 5))):
+        period = int(rng.integers(1, 5))
+        groups.append([int(rng.integers(1, 4)) for _ in range(period)])
+    n = sum(map(sum, groups))
+    A = np.zeros((n, n))
+    start = 0
+    for g, parts in enumerate(groups):
+        offs = start + np.cumsum([0] + parts)
+        for b in range(len(parts)):
+            src = slice(offs[b], offs[b + 1])
+            dst = slice(offs[(b + 1) % len(parts)], offs[(b + 1) % len(parts) + 1])
+            A[dst, src] = rng.exponential(size=(dst.stop - dst.start, src.stop - src.start))
+        start = offs[-1]
+        if g + 1 < len(groups):
+            for j in rng.choice(np.arange(offs[0], start), size=int(rng.integers(1, 3))):
+                A[int(rng.integers(start, n)), j] += A[:, j].sum()
+    return StochasticMatrix(A / A.sum(axis=0))
+
+
+@pytest.fixture(scope="module")
+def class_corpus():
+    """Criterion 11's mixed matrices, Burr chains, random sparse patterns (one
+    to three entries per column, a fifth of them tiny, dense and CSC storage
+    alternating) and periodic classes fed by other classes, each with the
+    reference decomposition per threshold."""
+    rng = np.random.default_rng(38)
+    mats = [mixed_criticality_case(rng, k) for k in range(2000)]
+    rng = np.random.default_rng(5)
+    for k in range(20):
+        n, nnz = int(rng.integers(50, 1501)), int(rng.integers(1, 5))
+        mats.append(gen_sparse_stochastic(
+            SparseGenConfig(n=n, nnz_per_col=nnz, burr=BurrConfig(0.2), seed=k)))
+    for k in range(300):
+        n, nnz = int(rng.integers(2, 41)), int(rng.integers(1, 4))
+        rows = rng.integers(0, n, size=(n, nnz))
+        vals = rng.exponential(size=(n, nnz))
+        vals[rng.uniform(size=vals.shape) < 0.2] *= 1e-4
+        vals /= vals.sum(axis=1, keepdims=True)
+        M = sp.csc_matrix((vals.ravel(), rows.ravel(), np.arange(n + 1) * nnz), shape=(n, n))
+        mats.append(StochasticMatrix(M if k % 2 else M.toarray()))
+    mats.extend(_fed_periodic_classes(rng) for _ in range(200))
+    return [(A, {eps: classify_by_loops(A, eps) for eps in EDGE_EPS}) for A in mats]
 
 
 class TestDiameterTau:
@@ -137,6 +281,32 @@ class TestClassify:
         assert flags[(2,)] is True
 
 
+    def test_class_fed_by_another_keeps_its_period(self):
+        # a looped vertex 0 feeds vertex 3 of the 3-cycle 1 -> 2 -> 3 -> 1;
+        # levels taken across the feeding edge would give the cycle period 1
+        A = np.zeros((4, 4))
+        A[0, 0] = A[3, 0] = 0.5
+        A[2, 1] = A[3, 2] = A[1, 3] = 1.0
+        dec = classify(StochasticMatrix(A))
+        assert dec.classes == ((0,), (1, 2, 3))
+        assert dec.essential_flags == (False, True)
+        assert dec.periods == (1, 3)
+        assert dec.transient == ()
+        assert not is_non_critical(A)
+
+    def test_no_class(self):
+        dec = classify(np.zeros((3, 3)))
+        assert (dec.classes, dec.essential_flags, dec.periods) == ((), (), ())
+        assert dec.transient == (0, 1, 2)
+
+    def test_matches_loop_reference(self, class_corpus):
+        for A, reference in class_corpus:
+            for eps in EDGE_EPS:
+                dec = classify(A, eps)
+                assert dec == reference[eps]
+                assert _typed(astuple(dec)) == _typed(astuple(reference[eps]))
+
+
 class TestIsNonCritical:
     def test_example(self, example3):
         assert is_non_critical(example3)
@@ -156,6 +326,12 @@ class TestIsNonCritical:
         assert classify(A).num_essential == 1
         assert classify(A, edge_eps=1e-9).num_essential == 2
         assert is_non_critical(A) and not is_non_critical(A, edge_eps=1e-9)
+
+
+    def test_matches_loop_reference(self, class_corpus):
+        for A, reference in class_corpus:
+            for eps in EDGE_EPS:
+                assert is_non_critical(A, eps) is _non_critical_by_loops(reference[eps])
 
 
 class TestGershgorin:
@@ -261,6 +437,17 @@ class TestSpectralReport:
         assert rep.non_critical
         assert rep.num_classes == 1 and rep.num_essential == 1
         assert abs(rep.eigenvalues[0] - 1.0) <= 1e-12
+
+    def test_classes_match_loop_reference(self, class_corpus):
+        # one threshold per matrix, alternating, keeps the dense eigvals few
+        for k, (A, reference) in enumerate(class_corpus):
+            if A.n > 60:
+                continue
+            eps = EDGE_EPS[k % 2]
+            rep, dec = spectral_report(A, eps), reference[eps]
+            assert rep.num_classes == dec.num_classes
+            assert rep.num_essential == dec.num_essential
+            assert rep.non_critical is _non_critical_by_loops(dec)
 
     def test_invariant_chain(self):
         rng = np.random.default_rng(12)
