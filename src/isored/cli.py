@@ -13,6 +13,7 @@ outputs are 1-based.  Row-stochastic inputs can be adapted with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -214,7 +215,10 @@ def cmd_symreduce(args):
             print("  [" + ", ".join(str(x) for x in row) + "]")
 
 
+@functools.cache
 def build_parser():
+    """The ``isored`` argument parser, built once per process: argparse's
+    per-argument setup costs milliseconds, and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="isored",
                                  description="stationary measures via isospectral reduction")
     sub = ap.add_subparsers(dest="command", required=True)

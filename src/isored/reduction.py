@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
@@ -269,7 +268,7 @@ def _schur(data, keep, drop, lam):
         # one LU of [G | C]: pivots come from G's columns, C becomes L^-1 P C
         GC, piv, _ = lapack.dgetrf(GC, overwrite_a=True)
         LU = GC[:, :q]
-        y[Q] = sla.lu_solve((LU, piv), f[Q], trans=1, check_finite=False)
+        y[Q], _ = lapack.dgetrs(LU, piv, f[Q], trans=1, overwrite_b=True)
     for P, piv_P, _, (r_in, c_in, v_in), f_P in reversed(levels):
         y[P] = (f_P + np.bincount(c_in, v_in * y[r_in], minlength=P.size)) / piv_P
     # y > 0 certifies the M-matrix; a singular block, or one outside the contract, gets inf
@@ -279,11 +278,11 @@ def _schur(data, keep, drop, lam):
     X = np.zeros((d + s, s))
     X[d:] = np.eye(s)
     if q:
-        X[Q] = sla.solve_triangular(LU, GC[:, q:], overwrite_b=True, check_finite=False)
+        X[Q], _ = lapack.dtrtrs(LU, GC[:, q:], overwrite_b=True)  # a zero pivot leaves inf
     for P, _, W, _, _ in reversed(levels):
         X[P] = W @ X
     lift = X[:d]
-    if not np.all(np.isfinite(lift)):
+    if not np.isfinite(lift).all():
         raise SingularElimination("shifted block solve produced non-finite values", condition=cond)
     return top @ X, lift, cond
 
@@ -315,9 +314,9 @@ def _finish_stochastic(S, R_raw, lift, pivot_order, cond):
                 " is numerically singular",
                 condition=cond,
             )
-        np.clip(arr, 0.0, None, out=arr)
+        np.maximum(arr, 0.0, out=arr)
     sums = R_raw.sum(axis=0)
-    if not np.all(sums > 0):
+    if not (sums > 0).all():
         raise ZeroColumn(int(np.argmin(sums > 0)))
     R_raw /= sums
     return ReductionRecord(
@@ -350,47 +349,80 @@ def reduce_block(A, S):
     return _finish_stochastic(S, R_raw, lift, tuple(drop.tolist()), cond)
 
 
-def _eliminate(M, alive, p, delta):
-    """Eliminate vertex ``p`` of the n x n work array ``M`` in place.
+class _Crout:
+    """Left-looking (Crout) node-by-node elimination of the dense chain ``A0``.
 
-    Dead vertices (``~alive``) have all-zero rows and columns and keep them.
-    A pivot with ``m_pp >= 1 - delta`` is refused before any division: the
-    call returns ``None`` and changes nothing.  Otherwise ``p`` dies, ``M``
-    takes the rank-1 update and re-normalized columns, and the call returns
-    ``(row, col, piv)``: ``piv = 1 - m_pp``, the lift row ``M[p,:] / piv``
-    and the column ``M[:,p]``, both with entry ``p`` zeroed.
+    After ``k`` steps the partially reduced matrix is ``A0 + C[:k].T @
+    Rw[:k]`` on the live vertices, but it is never formed: step ``k`` builds
+    only its pivot's row and column from the stored ones and keeps the
+    diagonal running.  A dead vertex has diagonal ``inf``, which is the live
+    mask: ``argmin`` passes over it, and the update leaves it ``inf``.
+    Rounding moves the column sums of the partial matrix off 1 by a few ulps;
+    :func:`_finish_stochastic` re-projects once at the end.
     """
-    if not M[p, p] < 1.0 - delta:
-        return None
-    piv = 1.0 - M[p, p]
-    row, col = M[p] / piv, M[:, p].copy()
-    row[p] = col[p] = 0.0
-    M[p] = M[:, p] = 0.0
-    alive[p] = False
-    M += col[:, None] * row
-    sums = M.sum(axis=0)
-    sums[~alive] = 1.0  # dead columns are all zero
-    M /= sums  # keep column sums exact across steps
-    return row, col, piv
+
+    def __init__(self, A0, steps):
+        self.A0 = A0
+        self.diag = A0.diagonal().copy()
+        self.Rw = np.empty((steps, A0.shape[0]))  # pivot rows divided by their pivots
+        self.C = np.empty((steps, A0.shape[0]))  # pivot columns
+        self.piv = np.empty(steps)
+        self.pivots = np.empty(steps, dtype=np.intp)
+        self.k = 0
+
+    @property
+    def live(self):
+        return np.flatnonzero(self.diag < np.inf)
+
+    def eliminate(self, p, delta):
+        """Eliminate vertex ``p``; the one elimination kernel.
+
+        A pivot with diagonal ``>= 1 - delta`` is refused before any
+        division: the call returns False and changes nothing.  Otherwise
+        ``p`` dies and step ``k`` stores ``piv = 1 - m_pp``, the lift row
+        ``Rw[k] = M[p,:] / piv`` and the column ``C[k] = M[:,p]``, and the
+        running diagonal takes the rank-1 update ``C[k] * Rw[k]``.  Entries
+        at dead vertices are not masked, because nothing reads them: entry
+        ``j`` of a new row or column reads only entry ``j`` and entry ``p``
+        (live until now) of the stored ones, and the callers read the kept
+        vertices, or the upper triangle in pivot order.
+        """
+        diag = self.diag
+        if not diag[p] < 1.0 - delta:
+            return False
+        k, Rw, C, A0 = self.k, self.Rw, self.C, self.A0
+        piv = 1.0 - diag[p]
+        row, col = Rw[k], C[k]
+        np.dot(C[:k, p], Rw[:k], out=row)
+        row += A0[p]
+        row /= piv
+        np.dot(Rw[:k, p], C[:k], out=col)
+        col += A0[:, p]
+        diag[p] = np.inf
+        diag += col * row
+        self.piv[k], self.pivots[k], self.k = piv, p, k + 1
+        return True
+
+    def reduced(self, keep):
+        """Raw reduced matrix over the live vertices ``keep``."""
+        C, Rw = self.C[: self.k, keep], self.Rw[: self.k, keep]
+        return self.A0[keep][:, keep] + C.T @ Rw
 
 
 def eliminate_node(A, k, delta=1e-12):
     """Remove a single vertex: r[i,j] = a[i,j] + a[i,k] a[k,j] / (1 - a[k,k]).
 
-    One step of :func:`_eliminate`; the lift is the pivot row.
+    One step of :meth:`_Crout.eliminate`; the lift is the pivot row.
     """
     A = validate_stochastic(A)
     n, k = A.n, int(k)
     if not 0 <= k < n:
         raise DimensionMismatch(f"node {k} outside [0, {n})")
-    M = np.array(A.dense, copy=True)
-    alive = np.ones(n, dtype=bool)
-    step = _eliminate(M, alive, k, delta)
-    if step is None:
-        raise AbsorbingPivot(k, float(M[k, k]))
-    rest = np.flatnonzero(alive)
-    R_raw = M[rest][:, rest]
-    return _finish_stochastic(IndexSet(rest, n), R_raw, step[0][None, rest], (k,), 1.0)
+    E = _Crout(A.dense, 1)
+    if not E.eliminate(k, delta):
+        raise AbsorbingPivot(k, float(E.diag[k]))
+    rest = E.live
+    return _finish_stochastic(IndexSet(rest, n), E.reduced(rest), E.Rw[:, rest], (k,), 1.0)
 
 
 def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
@@ -399,15 +431,18 @@ def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
     ``order`` fixes the elimination sequence (must enumerate the complement);
     by default the remaining eliminated vertex with the smallest current
     diagonal goes first, ties to the lowest index.  Each step is one call of
-    the in-place kernel :func:`_eliminate` on an n x n work array; the result
-    matches :func:`reduce_block` up to rounding, whatever the order.  Raises
-    :class:`NoViablePivot` when a pivot has diagonal within ``delta`` of 1.
+    the left-looking kernel :meth:`_Crout.eliminate`, which forms only the
+    pivot's row and column; the result matches :func:`reduce_block` up to
+    rounding, whatever the order.  Raises :class:`NoViablePivot` when a pivot
+    has diagonal within ``delta`` of 1.
 
-    The lift is back-substituted from the pivot rows: ``X[S] = I``, then
-    ``X[k] = W[k] @ X`` in reverse pivot order.  The steps LU-factor the
-    M-matrix ``I - B``, ``B = A[~S,~S]``, so its condition number is exact:
-    ``||I - B||_1 max(y)``, ``(I - B)^T y = 1``, with ``f += W[k] f_k``
-    forward and ``y_k = (f_k + col_k . y) / piv_k`` backward.
+    ``R = A[S,S] + C[:,S]^T Rw[:,S]`` is one product of the stored columns
+    and rows.  In pivot order the rows give the unit upper triangular ``I -
+    U``, ``U = Rw[:,P]``, so the lift is one triangular solve ``(I - U) X =
+    Rw[:,S]``.  The steps LU-factor the M-matrix ``I - B``, ``B =
+    A[~S,~S]``, so its condition number is exact: ``||I - B||_1 max(y)``,
+    ``(I - B)^T y = 1``, i.e. ``(I - U)^T f = 1`` forward and ``(diag(piv) -
+    C[:,P]) y = f`` backward.
     """
     A = validate_stochastic(A)
     n = A.n
@@ -420,32 +455,25 @@ def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
         if sorted(order) != drop.tolist():
             raise DimensionMismatch("order must enumerate the eliminated vertices exactly once")
 
-    M = np.array(A.dense, copy=True)
-    alive = np.ones(n, dtype=bool)
-    pending = np.zeros(n, dtype=bool)
-    pending[drop] = True
-    f = pending.astype(np.float64)  # right-hand side of (I - B)^T y = 1, folded forward
-    steps = []  # (p, W[p], col, piv) of each step
+    D = A.dense
+    E = _Crout(D, drop.size)
+    E.diag[keep] = np.inf  # kept vertices never pivot; R does not read the diagonal
     for step in range(drop.size):
-        if order is None:
-            p = int(np.argmin(np.where(pending, M.diagonal(), np.inf)))
-        else:
-            p = order[step]
-        out = _eliminate(M, alive, p, delta)
-        if out is None:
-            raise NoViablePivot(f"node {p + 1} has diagonal {M[p, p]!r}")
-        pending[p] = False
-        f += out[0] * f[p]
-        steps.append((p, *out))
+        p = int(E.diag.argmin()) if order is None else order[step]
+        if not E.eliminate(p, delta):
+            raise NoViablePivot(f"node {p + 1} has diagonal {E.diag[p]!r}")
 
-    X = np.eye(n)[:, keep]
-    y = np.zeros(n)
-    for p, w, col, piv in reversed(steps):
-        X[p] = w @ X
-        y[p] = (f[p] + col @ y) / piv
-    anorm = np.abs(np.eye(drop.size) - A.dense[drop][:, drop]).sum(axis=0).max()
-    pivots = tuple(step[0] for step in steps)
-    return _finish_stochastic(S, M[keep][:, keep], X[drop], pivots, anorm * y.max())
+    P = E.pivots
+    I_U = -E.Rw[:, P]  # unit upper triangular; the diagonal is implied
+    X, _ = lapack.dtrtrs(I_U, E.Rw[:, keep], unitdiag=1)
+    f, _ = lapack.dtrtrs(I_U, np.ones(drop.size), trans=1, unitdiag=1)
+    G = -E.C[:, P]
+    np.fill_diagonal(G, E.piv)
+    y, _ = lapack.dtrtrs(G, f)
+    # ||I - B||_1 column by column: 1 - b_jj plus the off-diagonal entries
+    anorm = (D[drop].sum(axis=0)[drop] - 2.0 * D.diagonal()[drop] + 1.0).max()
+    lift = X[np.argsort(P)]  # rows back in ascending vertex order
+    return _finish_stochastic(S, E.reduced(keep), lift, tuple(P.tolist()), anorm * y.max())
 
 
 def select_subset(A, strategy):
@@ -467,21 +495,21 @@ def select_subset(A, strategy):
 def _greedy_selection(A, s, delta):
     """Repeatedly mark the smallest-diagonal node of the partial reduction.
 
-    Viable marks are eliminated immediately by :func:`_eliminate`, so later
-    diagonals reflect the shrunken matrix.  Once only absorbing candidates
-    remain, the rest of the marks go to the smallest current (then original)
-    diagonals without further updates.
+    Viable marks are eliminated immediately by :meth:`_Crout.eliminate`, so
+    later diagonals are those of the shrunken matrix, read off its running
+    diagonal.  Once only absorbing candidates remain, the rest of the marks go
+    to the smallest current (then original) diagonals without further
+    updates.
     """
-    M = np.array(A.dense, copy=True)
-    alive = np.ones(A.n, dtype=bool)
+    D = A.dense
+    E = _Crout(D, A.n - s)
     for _ in range(A.n - s):
-        p = int(np.argmin(np.where(alive, M.diagonal(), np.inf)))
-        if _eliminate(M, alive, p, delta) is None:
-            live = np.flatnonzero(alive)
-            order = np.lexsort((A.dense.diagonal()[live], M.diagonal()[live]))
-            alive[live[order[: live.size - s]]] = False
-            break
-    return IndexSet(np.flatnonzero(alive), A.n)
+        p = int(E.diag.argmin())
+        if not E.eliminate(p, delta):
+            live = E.live
+            order = np.lexsort((D.diagonal()[live], E.diag[live]))
+            return IndexSet(live[order[live.size - s :]], A.n)
+    return IndexSet(E.live, A.n)
 
 
 def reconstruct_stationary(rec, v_R):
@@ -498,7 +526,7 @@ def reconstruct_stationary(rec, v_R):
     comp = rec.S.complement()
     if comp is not None:
         full[comp.array] = rec.lift @ w
-    np.clip(full, 0.0, None, out=full)
+    np.maximum(full, 0.0, out=full)
     return ProbabilityVector.from_weights(full)
 
 

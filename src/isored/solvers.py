@@ -14,12 +14,13 @@ Three routes to a fixed point ``A v = v`` on the probability simplex:
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgWarning, lapack
 
 from .core import ProbabilityVector, residual, validate_stochastic
 from .errors import NoConvergence, SingularElimination, SingularSystem
@@ -132,15 +133,20 @@ def _solve_replaced_system(A):
         except RuntimeError as exc:
             raise SingularSystem(f"fixed-point system is singular: {exc}") from exc
     else:
-        M = A.dense - np.eye(n)
+        M = np.subtract(A.dense, np.eye(n), order="F")
         M[-1, :] = 1.0
         rhs = np.zeros(n)
         rhs[-1] = 1.0
-        try:
-            v = sla.solve(M, rhs)
-        except sla.LinAlgError as exc:
-            raise SingularSystem(f"fixed-point system is singular: {exc}") from exc
-    if not np.all(np.isfinite(v)) or v.sum() <= 0:
+        anorm = np.abs(M).sum(axis=0).max()
+        lu, _, v, info = lapack.dgesv(M, rhs, overwrite_a=True, overwrite_b=True)
+        if info > 0:
+            raise SingularSystem(f"fixed-point system is singular: zero pivot {info}")
+        # the ill-conditioning warning of scipy.linalg.solve, from the same LU
+        rcond, _ = lapack.dgecon(lu, anorm)
+        if rcond < np.finfo(np.float64).eps:
+            warnings.warn(f"ill-conditioned fixed-point system (rcond={rcond:.3e})",
+                          LinAlgWarning, stacklevel=3)
+    if not np.isfinite(v).all() or v.sum() <= 0:
         raise SingularSystem("fixed-point solve produced a degenerate solution")
     return v
 
@@ -151,7 +157,7 @@ def direct_stationary(A):
     A = validate_stochastic(A)
     start = time.perf_counter()
     v = _solve_replaced_system(A)
-    np.clip(v, 0.0, None, out=v)
+    np.maximum(v, 0.0, out=v)
     v /= v.sum()
     res = residual(A, v)
     if not np.isfinite(res) or res > 1e-6:

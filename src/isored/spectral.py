@@ -24,15 +24,21 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .core import NonNegativeMatrix, one_norm, validate_stochastic
+from .core import NonNegativeMatrix, _coerce, one_norm, validate_stochastic
 from .errors import DimensionMismatch, EigensolverFailure
 
 def _data(M):
-    return M.data if isinstance(M, NonNegativeMatrix) else np.asarray(M, dtype=np.float64)
+    """Entries of a wrapped matrix, a raw array, or a raw scipy sparse matrix (as CSC)."""
+    if isinstance(M, NonNegativeMatrix):
+        return M.data
+    return _coerce(M) if sp.issparse(M) else np.asarray(M, dtype=np.float64)
 
 
 def _dense(M):
-    return M.dense if isinstance(M, NonNegativeMatrix) else np.asarray(M, dtype=np.float64)
+    if isinstance(M, NonNegativeMatrix):
+        return M.dense
+    data = _data(M)
+    return data.toarray() if sp.issparse(data) else data
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ def sorted_eigenvalues(A):
 
 def inner_spectral_radius(A):
     """Modulus of the second-largest eigenvalue (0 for a 1x1 matrix)."""
-    n = A.n if isinstance(A, NonNegativeMatrix) else np.asarray(A).shape[0]
+    n = _data(A).shape[0]
     if n < 2:
         return 0.0
     w = sorted_eigenvalues(A)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from isored.reduction import (
     reduction_cost,
     select_subset,
 )
-from isored.reduction import _independent_set
+from isored.reduction import _finish_stochastic, _independent_set
 from isored.spectral import diameter_tau, min_entry
 
 from conftest import averaging, rand_stochastic, rand_subset
@@ -445,7 +446,7 @@ def _reference_sequential(A, S, order=None):
     """Copy-based node-by-node reduction: raw ``(R, lift, pivot_order)``.
 
     Each step slices the surviving matrix anew and the lift is composed
-    from the per-step rows afterwards; the in-place kernel must agree.
+    from the per-step rows afterwards; the elimination kernel must agree.
     """
     drop = set(S.complement().indices)
     M = np.array(A.dense, copy=True)
@@ -526,7 +527,7 @@ def _stalling_chain():
 
 
 class TestKernelMatchesReference:
-    """The in-place kernel against the copy-based elimination it replaced."""
+    """The elimination kernel against a copy-based elimination."""
 
     def test_sequential(self):
         rng = np.random.default_rng(14)
@@ -554,6 +555,122 @@ class TestKernelMatchesReference:
             assert set(kept.indices) <= set(stalled)
         with np.errstate(divide="raise", invalid="raise"), pytest.raises(NoViablePivot):
             reduce_sequential(A, IndexSet([1, 2], 12))
+
+
+def _eliminate_right_looking(M, alive, p, delta):
+    """The right-looking kernel the left-looking one replaced.
+
+    Eliminates ``p`` of the n x n work array ``M`` in place with a full
+    rank-1 update and column renormalization.  Returns ``(row, col, piv)``,
+    or None for a refused pivot.
+    """
+    if not M[p, p] < 1.0 - delta:
+        return None
+    piv = 1.0 - M[p, p]
+    row, col = M[p] / piv, M[:, p].copy()
+    row[p] = col[p] = 0.0
+    M[p] = M[:, p] = 0.0
+    alive[p] = False
+    M += col[:, None] * row
+    sums = M.sum(axis=0)
+    sums[~alive] = 1.0
+    M /= sums
+    return row, col, piv
+
+
+def _right_looking_sequential(A, S, order=None, delta=PIVOT_DELTA):
+    """:func:`reduce_sequential` on the right-looking kernel, lift and condition by loops."""
+    n = A.n
+    keep, drop = S.array, S.complement().array
+    M = np.array(A.dense, copy=True)
+    alive = np.ones(n, dtype=bool)
+    pending = np.zeros(n, dtype=bool)
+    pending[drop] = True
+    f = pending.astype(np.float64)
+    steps = []
+    for step in range(drop.size):
+        if order is None:
+            p = int(np.argmin(np.where(pending, M.diagonal(), np.inf)))
+        else:
+            p = order[step]
+        out = _eliminate_right_looking(M, alive, p, delta)
+        if out is None:
+            raise NoViablePivot(f"node {p + 1} has diagonal {M[p, p]!r}")
+        pending[p] = False
+        f += out[0] * f[p]
+        steps.append((p, *out))
+    X = np.eye(n)[:, keep]
+    y = np.zeros(n)
+    for p, w, col, piv in reversed(steps):
+        X[p] = w @ X
+        y[p] = (f[p] + col @ y) / piv
+    anorm = np.abs(np.eye(drop.size) - A.dense[drop][:, drop]).sum(axis=0).max()
+    pivots = tuple(step[0] for step in steps)
+    return _finish_stochastic(S, M[keep][:, keep], X[drop], pivots, anorm * y.max())
+
+
+def _right_looking_greedy(A, s, delta=PIVOT_DELTA):
+    """:class:`PivotGreedy` selection on the right-looking kernel, as a sorted index tuple."""
+    M = np.array(A.dense, copy=True)
+    alive = np.ones(A.n, dtype=bool)
+    for _ in range(A.n - s):
+        p = int(np.argmin(np.where(alive, M.diagonal(), np.inf)))
+        if _eliminate_right_looking(M, alive, p, delta) is None:
+            live = np.flatnonzero(alive)
+            order = np.lexsort((A.dense.diagonal()[live], M.diagonal()[live]))
+            alive[live[order[: live.size - s]]] = False
+            break
+    return tuple(np.flatnonzero(alive).tolist())
+
+
+def _dense_burr_cases():
+    """Dense heavy-tailed chains: near-absorbing pivots, some within ``PIVOT_DELTA`` of 1."""
+    for seed in range(40):
+        cfg = SparseGenConfig(n=200, nnz_per_col=200, burr=BurrConfig(0.2), seed=seed)
+        A = gen_sparse_stochastic(cfg)
+        for s in (20, 100):
+            yield A, select_subset(A, RandomS(s, seed))
+
+
+class TestLeftLookingMatchesRightLooking:
+    """The left-looking kernel against the right-looking one it replaced.
+
+    Pivot choices, kept sets and refusals must be identical.  The numbers
+    differ by rounding, which either elimination amplifies by the condition
+    number of ``I - A[~S,~S]``: 1e-10, or 8 kappa eps on the dense Burr chains
+    whose kappa reaches 1e8.
+    """
+
+    def test_parity(self):
+        rng = np.random.default_rng(17)
+        eps = np.finfo(np.float64).eps
+        refused = 0
+        worst = {"left": 0.0, "right": 0.0}  # largest distance of R to reduce_block
+        for A, S in itertools.chain(_kernel_cases(), _dense_burr_cases()):
+            assert select_subset(A, PivotGreedy(len(S))).indices == _right_looking_greedy(A, len(S))
+            for order in (None, list(rng.permutation(S.complement().array))):
+                try:
+                    ref = _right_looking_sequential(A, S, order)
+                except NoViablePivot as err:
+                    with pytest.raises(NoViablePivot) as info:
+                        reduce_sequential(A, S, order=order)
+                    assert str(info.value).split(" has ")[0] == str(err).split(" has ")[0]
+                    refused += 1
+                    continue
+                rec = reduce_sequential(A, S, order=order)
+                assert rec.pivot_order == ref.pivot_order
+                kappa = ref.condition_estimate
+                tol = max(1e-10, 8.0 * kappa * eps)
+                np.testing.assert_allclose(rec.R.dense, ref.R.dense, rtol=0, atol=tol)
+                scale = max(1.0, np.abs(ref.lift).max())
+                np.testing.assert_allclose(rec.lift, ref.lift, rtol=0, atol=tol * scale)
+                assert rec.condition_estimate == pytest.approx(kappa, rel=tol)
+                if kappa < SINGULAR_CONDITION:
+                    block = reduce_block(A, S).R.dense
+                    for name, r in (("left", rec), ("right", ref)):
+                        worst[name] = max(worst[name], np.abs(r.R.dense - block).max())
+        assert refused >= 10
+        assert worst["left"] <= worst["right"]
 
 
 class TestSelectSubset:

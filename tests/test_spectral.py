@@ -253,6 +253,16 @@ class TestClassify:
         assert dec.periods == (1,)
         assert dec.transient == ()
 
+    def test_raw_sparse_input(self):
+        # an unwrapped scipy matrix is coerced as core does, not np.asarray'd
+        raw = sp.csc_matrix([[0, 1.0], [1, 0]])
+        wrapped = StochasticMatrix(raw)
+        assert classify(raw) == classify(wrapped)
+        assert min_entry(raw) == min_entry(wrapped) == 0.0
+        assert contraction_check(raw, [1, 0], [0, 1]) == contraction_check(wrapped, [1, 0], [0, 1])
+        assert inner_spectral_radius(raw) == pytest.approx(1.0)
+        assert classify(raw.tocsr()) == classify(wrapped)
+
     def test_identity(self):
         dec = classify(StochasticMatrix(np.eye(2)))
         assert dec.classes == ((0,), (1,))
