@@ -132,6 +132,8 @@ def cmd_stationary(args):
         strategy=_strategy(args.strategy, s, args.seed) if args.method == "iso" else None,
     )
     out = solvers.solve(A, args.method, cfg)
+    if args.output:
+        mmio.write_vector(args.output, out.v.values)
     if args.json:
         print(json.dumps({
             "method": out.method, "residual": out.residual,
@@ -147,7 +149,6 @@ def cmd_stationary(args):
     if out.flags:
         print(f"flags      : {', '.join(out.flags)}")
     if args.output:
-        mmio.write_vector(args.output, out.v.values)
         print(f"wrote stationary vector to {args.output}")
     else:
         head = ", ".join(f"{x:.6g}" for x in out.v.values[:8])

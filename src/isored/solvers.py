@@ -4,8 +4,11 @@ Three routes to a fixed point ``A v = v`` on the probability simplex:
 
 * :func:`perron_frobenius` -- plain power iteration from a random simplex
   point, stopping when the squared update drops below ``10**(-2p)``;
-* :func:`direct_stationary` -- one LU solve of ``(A - I) v = 0`` with the
-  last equation replaced by the normalization ``sum(v) = 1``;
+* :func:`direct_stationary` -- one LU solve of ``(A - I) v = 0`` with one
+  equation replaced by the normalization ``sum(v) = 1``: the last one of a
+  dense matrix, factored whole; on sparse input, one of a vertex of the
+  essential class, whose complement is peeled by the block reduction's
+  independent-set levels down to one bordered dense core;
 * :func:`isospectral_stationary` -- reduce over a kept set, solve the small
   system, reconstruct.  The route of choice when several eigenvalues crowd
   the unit circle and iteration stalls.
@@ -18,8 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgWarning, lapack
 
 from .core import ProbabilityVector, residual, validate_stochastic
@@ -27,10 +28,12 @@ from .errors import NoConvergence, SingularElimination, SingularSystem
 from .reduction import (
     RandomS,
     ReductionRecord,
+    _peel,
     reconstruct_stationary,
     reduce_block,
     select_subset,
 )
+from .spectral import _labelling
 
 #: reduced systems up to this size go to the direct solver; on reduced Burr
 #: chains the dense solve beat power iteration in median time at every size
@@ -116,36 +119,84 @@ def perron_frobenius(A, cfg=SolverConfig()):
     )
 
 
+def _lu_solve(M, rhs):
+    """``dgesv`` of the Fortran-ordered ``M``, and ``dgecon``'s reciprocal
+    1-norm condition estimate from the same LU."""
+    anorm = lapack.dlange("1", M)
+    lu, _, v, info = lapack.dgesv(M, rhs, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise SingularSystem(f"fixed-point system is singular: zero pivot {info}")
+    rcond, _ = lapack.dgecon(lu, anorm)
+    return v, rcond
+
+
+def _solve_on_peel(A):
+    """Sparse replaced system: the equation of a vertex ``r`` of the essential
+    class is replaced by ``sum(v) = 1``, and every other vertex is eliminated.
+
+    The eliminated set holds no closed class only when ``r`` lies in the one
+    essential class, so that class is found first, structurally; then
+    ``I - A[~r,~r]`` is a nonsingular M-matrix and the peel of
+    :func:`reduction._peel` needs no pivoting.  Its core leaves the bordered
+    system ``[[G, -C], [f[Q], 1 + f_r]] [x_Q; v_r] = e_last``, where the row
+    ``f`` is the normalization folded forward through the levels; the rest
+    of ``v`` is folded back level by level.  Returns ``v`` and the core's
+    reciprocal condition estimate.
+    """
+    n = A.n
+    if n == 1:
+        return np.ones(1), 1.0
+    _, _, root, _, cyclic, leaks = _labelling(A)
+    essential = np.flatnonzero(cyclic & ~leaks)
+    if essential.size != 1:
+        raise SingularSystem(
+            f"{essential.size} essential classes; stationary measure not unique")
+    r = np.flatnonzero(root == essential[0])[-1]
+    rest = np.delete(np.arange(n), r)
+    try:
+        _, levels, Q, GC, f, _ = _peel(A.data, np.array([r]), rest, 1.0)
+    except SingularElimination as exc:
+        raise SingularSystem(f"fixed-point system is singular: {exc}") from exc
+    d, q = n - 1, Q.size
+    M = np.empty((q + 1, q + 1), order="F")
+    M[:q, :q] = GC[:, :q]
+    np.negative(GC[:, q], out=M[:q, q])
+    M[q, :q] = f[Q]
+    M[q, q] = 1.0 + f[d]
+    rhs = np.zeros(q + 1)
+    rhs[-1] = 1.0
+    X = np.zeros(n)  # local numbering: eliminated vertices, then r
+    X[np.append(Q, d)], rcond = _lu_solve(M, rhs)
+    for P, _, W, _, _ in reversed(levels):
+        X[P] = W @ X
+    v = np.empty(n)
+    v[rest], v[r] = X[:d], X[d]
+    return v, rcond
+
+
 def _solve_replaced_system(A):
-    """Solve (A - I) v = 0 with the last equation replaced by sum(v) = 1."""
+    """Solve (A - I) v = 0 with one equation replaced by sum(v) = 1.
+
+    Dense input replaces the last equation and takes one ``dgesv`` of the
+    full system.  Sparse input goes through :func:`_solve_on_peel`: the
+    equation of a vertex of the essential class is replaced, the other
+    vertices are peeled as in a block reduction, and one ``dgesv`` solves
+    the bordered dense core.  Either route warns with ``LinAlgWarning``
+    when the LU's reciprocal condition estimate falls below machine epsilon.
+    """
     n = A.n
     if A.is_sparse:
-        coo = (A.data - sp.identity(n, format="csc")).tocoo()
-        keep = coo.row < n - 1
-        rows = np.concatenate([coo.row[keep], np.full(n, n - 1)])
-        cols = np.concatenate([coo.col[keep], np.arange(n)])
-        vals = np.concatenate([coo.data[keep], np.ones(n)])
-        M = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
-        try:
-            v = spla.splu(M).solve(rhs)
-        except RuntimeError as exc:
-            raise SingularSystem(f"fixed-point system is singular: {exc}") from exc
+        v, rcond = _solve_on_peel(A)
     else:
         M = np.subtract(A.dense, np.eye(n), order="F")
         M[-1, :] = 1.0
         rhs = np.zeros(n)
         rhs[-1] = 1.0
-        anorm = np.abs(M).sum(axis=0).max()
-        lu, _, v, info = lapack.dgesv(M, rhs, overwrite_a=True, overwrite_b=True)
-        if info > 0:
-            raise SingularSystem(f"fixed-point system is singular: zero pivot {info}")
-        # the ill-conditioning warning of scipy.linalg.solve, from the same LU
-        rcond, _ = lapack.dgecon(lu, anorm)
-        if rcond < np.finfo(np.float64).eps:
-            warnings.warn(f"ill-conditioned fixed-point system (rcond={rcond:.3e})",
-                          LinAlgWarning, stacklevel=3)
+        v, rcond = _lu_solve(M, rhs)
+    # the ill-conditioning warning of scipy.linalg.solve
+    if rcond < np.finfo(np.float64).eps:
+        warnings.warn(f"ill-conditioned fixed-point system (rcond={rcond:.3e})",
+                      LinAlgWarning, stacklevel=3)
     if not np.isfinite(v).all() or v.sum() <= 0:
         raise SingularSystem("fixed-point solve produced a degenerate solution")
     return v
@@ -153,7 +204,17 @@ def _solve_replaced_system(A):
 
 def direct_stationary(A):
     """LU baseline; raises :class:`SingularSystem` when the stationary
-    measure is not unique (1 is a multiple eigenvalue)."""
+    measure is not unique (1 is a multiple eigenvalue).
+
+    Dense input: one ``dgesv`` of ``A - I`` with the last row replaced by
+    ones.  Sparse input: the essential classes are counted on one
+    strong-components labelling, so a second one is refused structurally;
+    then the equation of a vertex of the essential class is replaced, every
+    other vertex is peeled as in :func:`reduction.reduce_block`, and one
+    ``dgesv`` solves the bordered core.  Either way a reciprocal condition
+    estimate below machine epsilon warns with ``LinAlgWarning``, and the
+    clipped, normalized vector must leave a residual of at most 1e-6.
+    """
     A = validate_stochastic(A)
     start = time.perf_counter()
     v = _solve_replaced_system(A)

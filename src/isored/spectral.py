@@ -81,8 +81,53 @@ class SpectralReport:
     non_critical: bool
 
 
+def _sparse_diameter(data):
+    """Largest 1-norm distance between two columns of a non-negative sparse matrix.
+
+    ``||a_j - a_k||_1 = s_j + s_k - 2 sum_i min(a_ij, a_ik)`` with column
+    sums ``s``.  The overlaps come from the pairs of entries that share a
+    row; the best pair that shares no row has distance ``s_j + s_k`` and
+    comes from a scan in descending column sum.
+    """
+    n = data.shape[1]
+    s = np.asarray(data.sum(axis=0)).ravel()
+    csr = data.tocsr()
+    col, val, ptr = csr.indices, csr.data, csr.indptr
+    # entry e pairs with the entries after it in its row
+    ends = np.repeat(ptr[1:], np.diff(ptr))
+    later = ends - np.arange(col.size) - 1
+    first = np.repeat(np.arange(col.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    j, k = col[first], col[second]
+    keys, at = np.unique(np.minimum(j, k) * n + np.maximum(j, k), return_inverse=True)
+    overlap = np.bincount(at, np.minimum(val[first], val[second]), minlength=keys.size)
+    lo, hi = np.divmod(keys, n)
+    best = float((s[lo] + s[hi] - 2.0 * overlap).max()) if keys.size else 0.0
+
+    order = np.argsort(-s, kind="stable")
+    for a, j in enumerate(order[:-1]):
+        if s[j] + s[order[a + 1]] <= best:
+            break
+        for k in order[a + 1 :]:
+            if s[j] + s[k] <= best:
+                break
+            key = min(j, k) * n + max(j, k)
+            i = np.searchsorted(keys, key)
+            if i == keys.size or keys[i] != key:
+                best = float(s[j] + s[k])
+                break
+    return best
+
+
 def diameter_tau(A):
-    """max over column pairs of half the 1-norm of their difference."""
+    """max over column pairs of half the 1-norm of their difference.
+
+    Sparse non-negative input takes :func:`_sparse_diameter`; dense input
+    compares each column with the ones after it.
+    """
+    data = _data(A)
+    if sp.issparse(data) and not (data.data < 0).any():
+        return 0.5 * _sparse_diameter(data)
     M = _dense(A)
     n = M.shape[1]
     best = 0.0
@@ -144,6 +189,28 @@ def _digraph(src, dst, n):
     return sp.csr_array((np.ones(src.size), dst, indptr), shape=(n, n))
 
 
+def _labelling(A, edge_eps=0.0):
+    """One strong-components labelling of the positive-entry digraph.
+
+    Returns ``(src, dst, root, inside, cyclic, leaks)``: the edges, the
+    smallest member of each vertex's component (which names the component),
+    which edges stay inside their component, and, at each component's
+    smallest member, whether an edge runs inside the component and whether
+    one leaves it.  A class is a cyclic component; it is essential when no
+    edge leaves it.
+    """
+    src, dst = _edges(A, edge_eps)
+    n = _data(A).shape[0]
+    _, labels = connected_components(_digraph(src, dst, n), directed=True, connection="strong")
+    root = np.unique(labels, return_index=True)[1][labels]
+    inside = root[src] == root[dst]
+    cyclic = np.zeros(n, dtype=bool)
+    cyclic[root[src[inside]]] = True
+    leaks = np.zeros(n, dtype=bool)
+    leaks[root[src[~inside]]] = True
+    return src, dst, root, inside, cyclic, leaks
+
+
 def classify(A, edge_eps=0.0):
     """Communicating classes of the positive-entry digraph.
 
@@ -152,18 +219,9 @@ def classify(A, edge_eps=0.0):
     *essential* when no edge leaves it.  ``edge_eps`` treats entries at or
     below the threshold as absent, for noisy inputs.
     """
-    src, dst = _edges(A, edge_eps)
-    n = _data(A).shape[0]
-    _, labels = connected_components(_digraph(src, dst, n), directed=True, connection="strong")
-    # each component is named by its smallest member: classes sort by it and
-    # the level search starts from it
-    root = np.unique(labels, return_index=True)[1][labels]
-    inside = root[src] == root[dst]
+    src, dst, root, inside, cyclic, leaks = _labelling(A, edge_eps)
+    n = root.size
     src_in, dst_in, owner = src[inside], dst[inside], root[src[inside]]
-    cyclic = np.zeros(n, dtype=bool)
-    cyclic[owner] = True
-    leaks = np.zeros(n, dtype=bool)
-    leaks[root[src[~inside]]] = True
     roots = np.flatnonzero(cyclic)
 
     # the period of a class is the gcd of level(u) + 1 - level(v) over its

@@ -103,6 +103,14 @@ class TestStationary:
         v = read_vector(vec)
         np.testing.assert_allclose(v, np.array([0.9, 1.0, 0.55]) / 2.45, atol=1e-8)
 
+    def test_json_with_vector_output(self, example_file, tmp_path, capsys):
+        # --json used to return before the vector was written
+        vec = str(tmp_path / "v.txt")
+        assert main(["stationary", example_file, "--method", "direct", "--json",
+                     "-o", vec]) == 0
+        data = json.loads(capsys.readouterr().out)
+        np.testing.assert_array_equal(read_vector(vec), data["v"])
+
     def test_pf(self, example_file, capsys):
         assert main(["stationary", example_file, "--method", "pf", "--p", "10",
                      "--json"]) == 0

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgWarning
 
+from isored.bench import RunConfig, _trial_inputs
 from isored.core import IndexSet, StochasticMatrix, residual
 from isored.errors import SingularElimination, SingularSystem
-from isored.randgen import BurrConfig, SparseGenConfig, gen_sparse_stochastic
+from isored.randgen import BurrConfig, SparseGenConfig, gen_sparse_stochastic, make_banded
 from isored.reduction import FirstS, RandomS
 from isored.solvers import (
     SolverConfig,
@@ -97,6 +101,147 @@ class TestDirectStationary:
         A = StochasticMatrix(sp.csc_matrix(TWO_STATE.dense))
         out = direct_stationary(A)
         np.testing.assert_allclose(out.v.values, [0.9 / 1.9, 1.0 / 1.9], atol=1e-14)
+
+
+def superlu_stationary(A):
+    """The former sparse route of ``direct_stationary``, kept as a reference:
+    SuperLU (COLAMD order) of ``A - I`` with the last equation replaced by
+    ``sum(v) = 1``, then the same clip, normalization and residual check."""
+    n = A.n
+    coo = (A.data - sp.identity(n, format="csc")).tocoo()
+    keep = coo.row < n - 1
+    rows = np.concatenate([coo.row[keep], np.full(n, n - 1)])
+    cols = np.concatenate([coo.col[keep], np.arange(n)])
+    vals = np.concatenate([coo.data[keep], np.ones(n)])
+    M = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        v = spla.splu(M).solve(rhs)
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc)) from exc
+    if not np.isfinite(v).all() or v.sum() <= 0:
+        raise SingularSystem("degenerate solution")
+    v = np.maximum(v, 0.0)
+    v /= v.sum()
+    if not residual(A, v) <= 1e-6:
+        raise SingularSystem("residual")
+    return v
+
+
+def burr(n, seed):
+    return gen_sparse_stochastic(
+        SparseGenConfig(n=n, nnz_per_col=4, burr=BurrConfig(0.2), seed=seed))
+
+
+def sparse_chain(entries, n):
+    """CSC chain from ``(i, j, a_ij)`` triples; zeros stay stored."""
+    i, j, a = zip(*entries)
+    return StochasticMatrix(sp.csc_matrix((a, (i, j)), shape=(n, n)))
+
+
+def banded_csc(n, m, seed):
+    """``make_banded(n, m, seed)`` built in CSC form, without the n x n array:
+    the same draws in the same row-major order over the band."""
+    rows = np.repeat(np.arange(n), 2 * m - 1)
+    cols = rows + np.tile(np.arange(1 - m, m), n)
+    ok = (cols >= 0) & (cols < n)
+    rows, cols = rows[ok], cols[ok]
+    vals = np.random.default_rng(seed).uniform(0.2, 1.0, size=rows.size)
+    vals /= np.bincount(cols, vals)[cols]
+    return StochasticMatrix(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)))
+
+
+def birth_death_exact(A):
+    """Stationary vector of a tridiagonal chain by detailed balance,
+    ``v[i+1] a[i,i+1] = v[i] a[i+1,i]``, summed in logarithms."""
+    D = A.data.tocsr()
+    up, down = D.diagonal(-1), D.diagonal(1)  # a[i+1,i], a[i,i+1]
+    logv = np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
+    v = np.exp(logv - logv.max())
+    return v / v.sum()
+
+
+class TestSparseDirect:
+    """The sparse route: peel to a bordered dense core, against SuperLU."""
+
+    @pytest.mark.parametrize("n, seed", [(200, s) for s in range(6)] + [(1000, s) for s in range(3)])
+    def test_parity_with_superlu_on_burr(self, n, seed):
+        A = burr(n, seed)
+        out = direct_stationary(A)
+        assert np.abs(out.v.values - superlu_stationary(A)).sum() <= 1e-9
+        assert out.residual <= 1e-12
+
+    def test_parity_on_near_decoupled_paper_instance(self):
+        # second eigenvalue 1 - 1.5e-12: both direct routes agree, the scheme
+        # sits 1.4e-4 away from them
+        A, _ = _trial_inputs(RunConfig(seed=1005), 14)
+        out = direct_stationary(A)
+        assert np.abs(out.v.values - superlu_stationary(A)).sum() <= 1e-9
+
+    def test_banded_reference_matches_generator(self):
+        A = banded_csc(40, 3, 7)
+        np.testing.assert_allclose(A.dense, make_banded(40, 3, 7).dense, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_birth_death_chain(self, seed):
+        # a deep peel; short graded chains keep their digits on both routes
+        A = banded_csc(300, 2, seed)
+        out = direct_stationary(A)
+        assert np.abs(out.v.values - birth_death_exact(A)).sum() <= 1e-9
+        assert np.abs(out.v.values - superlu_stationary(A)).sum() <= 1e-9
+
+    def test_identity_is_singular(self):
+        A = StochasticMatrix(sp.identity(3, format="csc"))
+        for solver in (direct_stationary, superlu_stationary):
+            with pytest.raises(SingularSystem):
+                solver(A)
+
+    @pytest.mark.parametrize("bridge", [None, 0.0])
+    def test_two_essential_classes_singular(self, bridge):
+        # {0, 1} and {2, 3} are closed; a stored zero a[2,0] is no edge
+        entries = [(0, 0, 0.5), (1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.5),
+                   (2, 2, 0.3), (3, 2, 0.7), (2, 3, 0.7), (3, 3, 0.3)]
+        if bridge is not None:
+            entries.append((2, 0, bridge))
+        A = sparse_chain(entries, 4)
+        if bridge is not None:
+            assert A.data[2, 0] == 0.0 and A.data.nnz == 9
+        for solver in (direct_stationary, superlu_stationary):
+            with pytest.raises(SingularSystem):
+                solver(A)
+
+    def test_absorbing_vertex_fed_by_transient_ones(self):
+        # 0 -> 1 -> {3, 2}, 3 -> 2, and 2 keeps its mass
+        A = sparse_chain([(1, 0, 1.0), (3, 1, 0.6), (2, 1, 0.4), (2, 3, 1.0), (2, 2, 1.0)], 4)
+        out = direct_stationary(A)
+        np.testing.assert_array_equal(out.v.values, [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_allclose(superlu_stationary(A), out.v.values, atol=1e-15)
+
+    def test_absorbing_end_of_a_long_path(self):
+        # 78 -> ... -> 199 -> 0 -> ... -> 77, which keeps its mass: the path
+        # is peeled, so the kept equation must be 77's, or a pivot is zero
+        n, k = 200, 77
+        A = sparse_chain([((j + 1) % n, j, 1.0) for j in range(n) if j != k] + [(k, k, 1.0)], n)
+        out = direct_stationary(A)
+        np.testing.assert_array_equal(out.v.values, np.eye(n)[k])
+        np.testing.assert_allclose(superlu_stationary(A), out.v.values, atol=1e-15)
+
+    def test_periodic_two_cycle(self):
+        A = sparse_chain([(1, 0, 1.0), (0, 1, 1.0)], 2)
+        np.testing.assert_allclose(direct_stationary(A).v.values, [0.5, 0.5], atol=1e-15)
+
+    def test_single_vertex(self):
+        A = sparse_chain([(0, 0, 1.0)], 1)
+        np.testing.assert_array_equal(direct_stationary(A).v.values, [1.0])
+
+    def test_ill_conditioned_core_warns(self):
+        # a graded birth-death chain: the peel is exact, but the replaced
+        # system loses every digit (L1 2.0 to detailed balance at residual
+        # 1e-17); SuperLU said nothing
+        A = banded_csc(5000, 2, 3)
+        with pytest.warns(LinAlgWarning, match="ill-conditioned"):
+            direct_stationary(A)
 
 
 class TestEstimateInnerRadius:

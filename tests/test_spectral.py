@@ -38,6 +38,15 @@ def tau_by_overlap(A):
     return 1.0 - smallest
 
 
+def tau_by_column_loop(M):
+    """The dense route of ``diameter_tau``: each column against the ones after it."""
+    n = M.shape[1]
+    best = 0.0
+    for j in range(n - 1):
+        best = max(best, float(np.abs(M[:, j + 1 :] - M[:, j : j + 1]).sum(axis=0).max()))
+    return 0.5 * best
+
+
 def _adjacency_by_loops(A, edge_eps=0.0):
     data = A.data
     if sp.issparse(data):
@@ -190,6 +199,24 @@ class TestDiameterTau:
         for _ in range(100):
             A = rand_stochastic(rng, int(rng.integers(2, 25)))
             assert diameter_tau(A) == pytest.approx(tau_by_overlap(A), abs=1e-12)
+
+    def test_sparse_matches_column_loop(self):
+        # overlaps of columns sharing a row, plus the best disjoint pair
+        rng = np.random.default_rng(3)
+        for k in range(300):
+            n = int(rng.integers(1, 40))
+            M = sp.random(n, n, density=rng.uniform(0.02, 0.6), random_state=rng, format="csc")
+            if k % 2:  # stochastic where a column has mass, raw weights otherwise
+                sums = np.asarray(M.sum(axis=0)).ravel()
+                M = sp.csc_matrix(M @ sp.diags(1.0 / np.where(sums > 0, sums, 1.0)))
+            assert diameter_tau(M) == pytest.approx(tau_by_column_loop(M.toarray()), abs=1e-12)
+
+    def test_sparse_paper_instance(self):
+        A = gen_sparse_stochastic(
+            SparseGenConfig(n=300, nnz_per_col=4, burr=BurrConfig(0.2), seed=1))
+        assert diameter_tau(A) == pytest.approx(tau_by_column_loop(A.dense), abs=1e-12)
+        # the largest distance comes from the disjoint-pair scan: columns 1 and 2 share no row
+        assert diameter_tau(sp.csc_matrix([[0.5, 0.5, 0.0], [0.5, 0.0, 1.0], [0.0, 0.5, 0.0]])) == 1.0
 
 
 class TestMinEntry:
