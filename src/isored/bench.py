@@ -76,7 +76,6 @@ def _trial_inputs(cfg, k):
         seed=gen_seed,
         s=cfg.s,
         strategy=RandomS(cfg.s, seed=gen_seed + 1),
-        max_rereductions=0,
     )
     return A, solver_cfg
 

@@ -131,8 +131,9 @@ def _peel(data, keep, drop, lam):
     Works in local numbering (eliminated vertices ``0..d-1``, then kept ones)
     on the entries of the eliminated rows.  Fill is appended, not merged: a
     position may repeat, its entries add up, and the density test counts
-    stored entries.  Returns ``(top, levels, Q, GC, f, anorm)`` with ``GC =
-    [lam I - M[Q,Q] | M[Q,S]]`` in Fortran order.
+    stored entries.  A vertex whose pivot ``lam - m_jj`` is not positive is
+    never peeled; it stays in the core.  Returns ``(top, levels, Q, GC, f,
+    anorm)`` with ``GC = [lam I - M[Q,Q] | M[Q,S]]`` in Fortran order.
     """
     n, d, s = data.shape[0], drop.size, keep.size
     loc = np.empty(n, dtype=np.intp)
@@ -157,19 +158,27 @@ def _peel(data, keep, drop, lam):
     slot = np.empty(n, dtype=np.intp)
     levels = []
     q = d
+    held = None  # core vertices without a positive pivot, once one is met
     while True:
         within = cols < d  # every row left is a core row
         if q == 0 or np.count_nonzero(within) >= SPARSE_DENSITY_THRESHOLD * q * q:
             break
         within &= off
-        P = _independent_set(core, rows[within], cols[within])
+        free = core
+        if held is not None:
+            free = core & ~held
+            within &= free[rows] & free[cols]
+        P = _independent_set(free, rows[within], cols[within])
         piv = lam - diag[P]
         if not np.all(piv > 0):
-            raise SingularElimination(
-                f"non-positive pivot {piv.min():.3e} in the eliminated block;"
-                " the eliminated set traps an essential class",
-                condition=np.inf,
-            )
+            # fill only raises a diagonal, so such a vertex stays in the core,
+            # where dgetrf pivots and the certificate of _schur judges it
+            ok = piv > 0
+            held = np.zeros(n, dtype=bool) if held is None else held
+            held[P[~ok]] = True
+            P, piv = P[ok], piv[ok]
+        if not P.size:
+            break
         peel = np.zeros(n, dtype=bool)
         peel[P] = True
         core[P] = False
@@ -233,7 +242,8 @@ def _schur(data, keep, drop, lam):
     is diagonal), ``M <- M[T,T] + M[T,P] diag(1/(lam - m_pp)) M[P,T]``.  No
     pivoting is needed: ``lam I - B`` is column diagonally dominant (after
     the Perron scaling at a dominant eigenvalue), and so is every Schur
-    complement of it.
+    complement of it; a vertex whose rounded pivot is not positive stays in
+    the core, where ``dgetrf`` pivots.
 
     One tail serves both: one in-place LU of the bordered core ``[G | C]``,
     ``G = lam I - M[Q,Q]``, ``C = M[Q,S]`` (pivots come from G's columns,

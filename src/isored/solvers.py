@@ -9,9 +9,12 @@ Three routes to a fixed point ``A v = v`` on the probability simplex:
   dense matrix, factored whole; on sparse input, one of a vertex of the
   essential class, whose complement is peeled by the block reduction's
   independent-set levels down to one bordered dense core;
-* :func:`isospectral_stationary` -- reduce over a kept set, solve the small
-  system, reconstruct.  The route of choice when several eigenvalues crowd
-  the unit circle and iteration stalls.
+* :func:`isospectral_stationary` -- reduce over a kept set, solve the
+  reduced chain with :func:`direct_stationary`, reconstruct.  The route of
+  choice when several eigenvalues crowd the unit circle and iteration
+  stalls: at ``lambda = 1`` the reduction is the stochastic complement,
+  which keeps a near-decoupled chain near-decoupled, so iterating on the
+  reduced chain would stall as well.
 """
 
 from __future__ import annotations
@@ -35,10 +38,9 @@ from .reduction import (
 )
 from .spectral import _labelling
 
-#: reduced systems up to this size go to the direct solver; on reduced Burr
-#: chains the dense solve beat power iteration in median time at every size
-#: measured (200 to 2400), and power iteration can stop 0.23 (L1) short
+#: read by no solver: the scheme solves the reduced chain directly at every size
 DIRECT_SIZE_LIMIT = 2000
+#: kept-set draws of the scheme before a singular elimination is re-raised
 MAX_REDUCTION_ATTEMPTS = 5
 
 
@@ -49,9 +51,9 @@ class SolverConfig:
     seed: int = 0
     s: int | None = None            # kept-set size; defaults to n // 10
     strategy: object | None = None  # SelectionStrategy; defaults to RandomS(s, seed)
-    regap_threshold: float = 0.999
-    max_rereductions: int = 2
-    inner: str = "auto"             # "auto" | "direct" | "pf"
+    regap_threshold: float = 0.999  # has no effect
+    max_rereductions: int = 2       # has no effect
+    inner: str = "auto"             # "auto" and "direct" solve R directly; "pf" iterates
 
     def __post_init__(self):
         if self.p < 1:
@@ -137,11 +139,12 @@ def _solve_on_peel(A):
     The eliminated set holds no closed class only when ``r`` lies in the one
     essential class, so that class is found first, structurally; then
     ``I - A[~r,~r]`` is a nonsingular M-matrix and the peel of
-    :func:`reduction._peel` needs no pivoting.  Its core leaves the bordered
-    system ``[[G, -C], [f[Q], 1 + f_r]] [x_Q; v_r] = e_last``, where the row
-    ``f`` is the normalization folded forward through the levels; the rest
-    of ``v`` is folded back level by level.  Returns ``v`` and the core's
-    reciprocal condition estimate.
+    :func:`reduction._peel` needs no pivoting; a vertex whose pivot rounds
+    to zero stays in the core, which ``dgesv`` pivots.  The core leaves the
+    bordered system ``[[G, -C], [f[Q], 1 + f_r]] [x_Q; v_r] = e_last``,
+    where the row ``f`` is the normalization folded forward through the
+    levels; the rest of ``v`` is folded back level by level.  Returns ``v``
+    and the core's reciprocal condition estimate.
     """
     n = A.n
     if n == 1:
@@ -153,10 +156,7 @@ def _solve_on_peel(A):
             f"{essential.size} essential classes; stationary measure not unique")
     r = np.flatnonzero(root == essential[0])[-1]
     rest = np.delete(np.arange(n), r)
-    try:
-        _, levels, Q, GC, f, _ = _peel(A.data, np.array([r]), rest, 1.0)
-    except SingularElimination as exc:
-        raise SingularSystem(f"fixed-point system is singular: {exc}") from exc
+    _, levels, Q, GC, f, _ = _peel(A.data, np.array([r]), rest, 1.0)
     d, q = n - 1, Q.size
     M = np.empty((q + 1, q + 1), order="F")
     M[:q, :q] = GC[:, :q]
@@ -273,24 +273,14 @@ def estimate_inner_radius(A, v_star, seed=0, max_iters=400, window=60, rtol=0.05
     raise NoConvergence(f"growth-rate estimate did not settle (last {tail:.4f})")
 
 
-def _solve_reduced(R, cfg):
-    s = R.n
-    mode = cfg.inner
-    if mode == "auto":
-        mode = "direct" if s <= DIRECT_SIZE_LIMIT else "pf"
-    if mode == "direct":
-        return direct_stationary(R)
-    return perron_frobenius(R, cfg)
-
-
 def isospectral_stationary(A, cfg=SolverConfig()):
     """Reduce, solve the reduced system, reconstruct.
 
     The kept set comes from ``cfg.strategy`` (default: uniform random of size
     ``cfg.s``).  A singular elimination is retried with a fresh random set up
-    to five times.  When the reduced solve is iterative and the estimated
-    inner radius of the reduced matrix still exceeds ``cfg.regap_threshold``,
-    the reduction is redrawn up to ``cfg.max_rereductions`` times.
+    to ``MAX_REDUCTION_ATTEMPTS`` draws in all.  The reduced chain is solved
+    by :func:`direct_stationary` at every size, or by power iteration when
+    ``cfg.inner`` is ``"pf"``.
     """
     A = validate_stochastic(A)
     start = time.perf_counter()
@@ -299,7 +289,6 @@ def isospectral_stationary(A, cfg=SolverConfig()):
     strategy = cfg.strategy if cfg.strategy is not None else RandomS(s, cfg.seed)
 
     flags = []
-    rec = None
     attempt = 0
     while True:
         try:
@@ -313,27 +302,7 @@ def isospectral_stationary(A, cfg=SolverConfig()):
             flags.append("reduction_retry")
             strategy = RandomS(getattr(strategy, "s", s), cfg.seed + 1000 + attempt)
 
-    inner = _solve_reduced(rec.R, cfg)
-    iterative = inner.method == "pf"
-    if iterative and cfg.max_rereductions > 0:
-        redraws = 0
-        while redraws < cfg.max_rereductions:
-            try:
-                rho = estimate_inner_radius(rec.R, inner.v, seed=cfg.seed + redraws)
-            except NoConvergence:
-                rho = 1.0
-            if rho <= cfg.regap_threshold:
-                break
-            redraws += 1
-            flags.append("re_reduction")
-            strategy = RandomS(getattr(strategy, "s", s), cfg.seed + 2000 + redraws)
-            S = select_subset(A, strategy)
-            try:
-                rec = reduce_block(A, S)
-            except SingularElimination:
-                continue
-            inner = _solve_reduced(rec.R, cfg)
-
+    inner = perron_frobenius(rec.R, cfg) if cfg.inner == "pf" else direct_stationary(rec.R)
     v = reconstruct_stationary(rec, inner.v)
     return SolveOutcome(
         v=v,

@@ -330,9 +330,11 @@ class TestStagedElimination:
         D[:, 7] = 0.0
         D[7, 7] = 1.0
         S = IndexSet([v for v in range(200) if v % 5 == 0], 200)
-        # the zero pivot must be refused before anything divides by it
-        with np.errstate(divide="raise", invalid="raise"), pytest.raises(SingularElimination):
+        # the zero pivot stays in the core, and the core's certificate refuses
+        # it without a division by zero in NumPy
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(SingularElimination) as info:
             reduce_block(StochasticMatrix(sp.csc_matrix(D)), S)
+        assert info.value.condition == np.inf
 
     def test_trapped_class_rejected(self):
         # seed 202, instance 29 of the paper's Burr set: the kept set leaves

@@ -7,9 +7,16 @@ from scipy.linalg import LinAlgWarning
 from isored.bench import RunConfig, _trial_inputs
 from isored.core import IndexSet, StochasticMatrix, residual
 from isored.errors import SingularElimination, SingularSystem
-from isored.randgen import BurrConfig, SparseGenConfig, gen_sparse_stochastic, make_banded
+from isored.randgen import (
+    BurrConfig,
+    SparseGenConfig,
+    gen_dense_stochastic,
+    gen_sparse_stochastic,
+    make_banded,
+)
 from isored.reduction import FirstS, RandomS
 from isored.solvers import (
+    DIRECT_SIZE_LIMIT,
     SolverConfig,
     direct_stationary,
     estimate_inner_radius,
@@ -165,7 +172,11 @@ def birth_death_exact(A):
 class TestSparseDirect:
     """The sparse route: peel to a bordered dense core, against SuperLU."""
 
-    @pytest.mark.parametrize("n, seed", [(200, s) for s in range(6)] + [(1000, s) for s in range(3)])
+    # 3744086969 is burr-paper seed 202 instance 29: column 352 holds a_jj ==
+    # 1.0 in floating point and three off-diagonal entries of 1e-26 to 1e-23,
+    # so its pivot is 0 and the peel must leave it to the core
+    @pytest.mark.parametrize(
+        "n, seed", [(200, s) for s in range(6)] + [(1000, s) for s in (0, 1, 2, 3744086969)])
     def test_parity_with_superlu_on_burr(self, n, seed):
         A = burr(n, seed)
         out = direct_stationary(A)
@@ -354,27 +365,25 @@ class TestIsospectral:
     def test_pf_inner_solver(self):
         rng = np.random.default_rng(11)
         A = rand_stochastic(rng, 30)
-        cfg = SolverConfig(p=9, seed=3, s=10, inner="pf", max_rereductions=0)
+        cfg = SolverConfig(p=9, seed=3, s=10, inner="pf")
         out = isospectral_stationary(A, cfg)
         assert out.residual <= 1e-7
         assert out.iterations >= 1
 
-    def test_re_reduction_triggers_on_tiny_gap(self):
-        # kept block with an internal inner radius close to 1: the first
-        # reduction keeps {0,1,2} whose reduced matrix mixes slowly
-        rng = np.random.default_rng(12)
-        n = 24
-        A = rand_stochastic(rng, n, uniform_mix=0.3)
-        cfg = SolverConfig(
-            p=8, seed=5, s=6, inner="pf", regap_threshold=0.01, max_rereductions=2
-        )
+    def test_default_route_solves_large_reduced_chain_directly(self):
+        # s above the former size limit of the direct inner solve; power
+        # iteration capped at 2 steps would flag max_iters_exceeded
+        A = gen_dense_stochastic(2100, seed=4)
+        cfg = SolverConfig(p=8, max_iters=2, seed=6, s=2050)
+        assert cfg.s > DIRECT_SIZE_LIMIT
         out = isospectral_stationary(A, cfg)
-        # threshold is unreachably low, so the redraw budget must be spent
-        assert out.flags.count("re_reduction") == 2
-        assert out.residual <= 1e-6
+        assert out.iterations == 0
+        assert out.flags == ()
+        assert out.converged
+        assert out.residual <= 1e-12
 
     def test_unknown_inner_solver_rejected(self):
-        # an unknown name used to run power iteration without the re-reduction check
+        # an unknown name used to fall through to power iteration
         with pytest.raises(ValueError, match="inner"):
             SolverConfig(inner="lu")
 
