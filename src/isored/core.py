@@ -4,13 +4,17 @@ Matrices follow the column-stochastic convention: entry ``a[i, j]`` is the
 probability mass moved from state ``j`` to state ``i``, so every column of a
 stochastic matrix sums to 1.  Dense matrices are stored as row-major float64
 arrays; sparse ones as CSC.  All values are frozen after construction and can
-be shared freely between threads or worker processes.
+be shared freely between threads or worker processes.  The public constructors
+copy their input; the private ``_owned`` ones run the same checks on an array
+the library has just made and freeze it in place.
 
 Indices are 0-based everywhere inside the library; the CLI and the file
 formats use 1-based vertex numbers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,7 +72,17 @@ class NonNegativeMatrix:
     """Square matrix with non-negative entries (dense ndarray or CSC)."""
 
     def __init__(self, data):
-        data = _coerce(data)
+        self._admit(_coerce(data))
+
+    @classmethod
+    def _owned(cls, arr):
+        """Wrap a C-ordered float64 array the library has just made: the
+        checks of the public constructor, then frozen in place, not copied."""
+        self = cls.__new__(cls)
+        self._admit(_freeze(arr))
+        return self
+
+    def _admit(self, data):
         if data.shape[0] != data.shape[1]:
             raise DimensionMismatch(f"matrix is {data.shape[0]}x{data.shape[1]}, expected square")
         if data.shape[0] < 1:
@@ -124,8 +138,8 @@ class NonNegativeMatrix:
 class StochasticMatrix(NonNegativeMatrix):
     """Column-stochastic matrix: non-negative, every column sums to 1."""
 
-    def __init__(self, data):
-        super().__init__(data)
+    def _admit(self, data):
+        super()._admit(data)
         sums = self.column_sums()
         dev = np.abs(sums - 1.0)
         j = int(np.argmax(dev))
@@ -137,7 +151,17 @@ class ProbabilityVector:
     """Point of the probability simplex: non-negative entries summing to 1."""
 
     def __init__(self, values):
-        values = _freeze(np.array(values, dtype=np.float64).ravel())
+        self._admit(_freeze(np.array(values, dtype=np.float64).ravel()))
+
+    @classmethod
+    def _owned(cls, values):
+        """Wrap a 1-D float64 array the library has just made: the checks of
+        the public constructor, then frozen in place, not copied."""
+        self = cls.__new__(cls)
+        self._admit(_freeze(values))
+        return self
+
+    def _admit(self, values):
         if values.size < 1:
             raise DimensionMismatch("probability vector must have length >= 1")
         if values.min() < 0:
@@ -303,4 +327,6 @@ def residual(M, v):
     data = M.data if isinstance(M, NonNegativeMatrix) else M
     if v.shape != (data.shape[1],):
         raise DimensionMismatch(f"vector length {v.shape[0]} vs matrix {data.shape}")
-    return float(np.linalg.norm(data @ v - v))
+    r = data @ v
+    r -= v
+    return math.sqrt(r @ r)  # np.linalg.norm's formula for a real vector

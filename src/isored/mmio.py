@@ -39,11 +39,11 @@ def read_matrix(path):
 
 
 def write_vector(path, v):
+    """Write the length, then one shortest round-trip ``repr`` per line."""
     v = np.asarray(v, dtype=np.float64).ravel()
+    text = "\n".join([str(v.size), *map(repr, v.tolist())]) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"{v.size}\n")
-        for x in v:
-            fh.write(f"{float(x)!r}\n")
+        fh.write(text)
 
 
 def read_vector(path):

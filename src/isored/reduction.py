@@ -125,7 +125,7 @@ def _independent_set(core, rows, cols):
     return np.flatnonzero(taken | free)
 
 
-def _peel(data, keep, drop, lam):
+def _peel(data, keep, drop, lam, border=False):
     """Sparse half of :func:`_schur`: peel independent sets down to a dense core.
 
     Works in local numbering (eliminated vertices ``0..d-1``, then kept ones)
@@ -133,7 +133,8 @@ def _peel(data, keep, drop, lam):
     position may repeat, its entries add up, and the density test counts
     stored entries.  A vertex whose pivot ``lam - m_jj`` is not positive is
     never peeled; it stays in the core.  Returns ``(top, levels, Q, GC, f,
-    anorm)`` with ``GC = [lam I - M[Q,Q] | M[Q,S]]`` in Fortran order.
+    anorm)`` with ``GC = [lam I - M[Q,Q] | M[Q,S]]`` in Fortran order; with
+    ``border``, ``GC`` has one more row, of zeros, for the caller to fill.
     """
     n, d, s = data.shape[0], drop.size, keep.size
     loc = np.empty(n, dtype=np.intp)
@@ -211,9 +212,10 @@ def _peel(data, keep, drop, lam):
     at[d:] = q + np.arange(s)
     c_at = at[cols]
     signed = np.where(c_at < q, -vals, vals)  # repeated positions add up in bincount
-    GC = np.bincount(c_at * q + at[rows], signed, minlength=q * (q + s))
-    GC = GC.astype(np.float64, copy=False).reshape(q + s, q).T  # no entries: int zeros
-    GC.T.reshape(-1)[: q * q : q + 1] += lam
+    ld = q + 1 if border else q
+    GC = np.bincount(c_at * ld + at[rows], signed, minlength=ld * (q + s))
+    GC = GC.astype(np.float64, copy=False).reshape(q + s, ld).T  # no entries: int zeros
+    GC.T.reshape(-1)[: q * (ld + 1) : ld + 1] += lam
     return top, levels, Q, GC, f, anorm
 
 
@@ -331,7 +333,7 @@ def _finish_stochastic(S, R_raw, lift, pivot_order, cond):
     R_raw /= sums
     return ReductionRecord(
         S=S,
-        R=StochasticMatrix(R_raw),
+        R=StochasticMatrix._owned(R_raw),
         lift=lift,
         pivot_order=pivot_order,
         condition_estimate=float(cond),
@@ -537,7 +539,11 @@ def reconstruct_stationary(rec, v_R):
     if comp is not None:
         full[comp.array] = rec.lift @ w
     np.maximum(full, 0.0, out=full)
-    return ProbabilityVector.from_weights(full)
+    total = full.sum()
+    if not total > 0:
+        raise ZeroColumn(0)
+    full /= total
+    return ProbabilityVector._owned(full)
 
 
 def reduction_cost(n, s, mode):

@@ -19,6 +19,7 @@ Three routes to a fixed point ``A v = v`` on the probability simplex:
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -42,6 +43,8 @@ from .spectral import _labelling
 DIRECT_SIZE_LIMIT = 2000
 #: kept-set draws of the scheme before a singular elimination is re-raised
 MAX_REDUCTION_ATTEMPTS = 5
+#: an LU whose reciprocal condition estimate falls below this warns
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,9 @@ def perron_frobenius(A, cfg=SolverConfig()):
             break
     else:
         flags = ("max_iters_exceeded",)
-    v = v / v.sum()
+    v /= v.sum()  # v is the last product, a fresh array
     return SolveOutcome(
-        v=ProbabilityVector(v),
+        v=ProbabilityVector._owned(v),
         iterations=iterations,
         residual=residual(A, v),
         wall_time=time.perf_counter() - start,
@@ -156,11 +159,9 @@ def _solve_on_peel(A):
             f"{essential.size} essential classes; stationary measure not unique")
     r = np.flatnonzero(root == essential[0])[-1]
     rest = np.delete(np.arange(n), r)
-    _, levels, Q, GC, f, _ = _peel(A.data, np.array([r]), rest, 1.0)
+    _, levels, Q, M, f, _ = _peel(A.data, np.array([r]), rest, 1.0, border=True)
     d, q = n - 1, Q.size
-    M = np.empty((q + 1, q + 1), order="F")
-    M[:q, :q] = GC[:, :q]
-    np.negative(GC[:, q], out=M[:q, q])
+    np.negative(M[:q, q], out=M[:q, q])
     M[q, :q] = f[Q]
     M[q, q] = 1.0 + f[d]
     rhs = np.zeros(q + 1)
@@ -184,20 +185,22 @@ def _solve_replaced_system(A):
     the bordered dense core.  Either route warns with ``LinAlgWarning``
     when the LU's reciprocal condition estimate falls below machine epsilon.
     """
-    n = A.n
     if A.is_sparse:
         v, rcond = _solve_on_peel(A)
     else:
-        M = np.subtract(A.dense, np.eye(n), order="F")
+        n = A.n
+        M = np.array(A.dense, order="F")
+        M.T.reshape(-1)[:: n + 1] -= 1.0  # A - I: only the diagonal changes
         M[-1, :] = 1.0
         rhs = np.zeros(n)
         rhs[-1] = 1.0
         v, rcond = _lu_solve(M, rhs)
     # the ill-conditioning warning of scipy.linalg.solve
-    if rcond < np.finfo(np.float64).eps:
+    if rcond < _EPS:
         warnings.warn(f"ill-conditioned fixed-point system (rcond={rcond:.3e})",
                       LinAlgWarning, stacklevel=3)
-    if not np.isfinite(v).all() or v.sum() <= 0:
+    total = v.sum()  # finite only if every entry is
+    if not (math.isfinite(total) and total > 0):
         raise SingularSystem("fixed-point solve produced a degenerate solution")
     return v
 
@@ -221,10 +224,10 @@ def direct_stationary(A):
     np.maximum(v, 0.0, out=v)
     v /= v.sum()
     res = residual(A, v)
-    if not np.isfinite(res) or res > 1e-6:
+    if not res <= 1e-6:  # nan fails too
         raise SingularSystem(f"fixed-point residual {res:.3e}; stationary measure not unique")
     return SolveOutcome(
-        v=ProbabilityVector(v),
+        v=ProbabilityVector._owned(v),
         iterations=0,
         residual=res,
         wall_time=time.perf_counter() - start,

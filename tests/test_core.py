@@ -21,7 +21,9 @@ from isored.errors import (
     ColumnSumViolation,
     DimensionMismatch,
     IndexOutOfRange,
+    IsoredError,
     NegativeEntry,
+    VectorSumViolation,
     ZeroColumn,
 )
 
@@ -161,6 +163,69 @@ class TestProbabilityVector:
     def test_from_weights(self):
         v = ProbabilityVector.from_weights([2, 6])
         np.testing.assert_allclose(v.values, [0.25, 0.75])
+
+
+def _raised(fn, arg):
+    with pytest.raises(IsoredError) as info:
+        fn(arg)
+    return type(info.value), str(info.value)
+
+
+class TestOwnedConstructors:
+    """``_owned`` wraps an array the library made: no copy, the same checks."""
+
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            ([[0.5, 1.2], [0.5, -0.2]], NegativeEntry),
+            ([[0.5, 0.5], [0.5, 0.4]], ColumnSumViolation),
+            (np.eye(3)[:2], DimensionMismatch),
+        ],
+    )
+    def test_matrix_refusals_match_public(self, data, error):
+        arr = np.array(data, dtype=np.float64)
+        got = _raised(StochasticMatrix._owned, arr.copy())
+        assert got[0] is error and got == _raised(StochasticMatrix, arr)
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [([1.2, -0.2], NegativeEntry), ([0.5, 0.6], VectorSumViolation), ([], DimensionMismatch)],
+    )
+    def test_vector_refusals_match_public(self, values, error):
+        arr = np.array(values, dtype=np.float64)
+        got = _raised(ProbabilityVector._owned, arr.copy())
+        assert got[0] is error and got == _raised(ProbabilityVector, arr)
+
+    def test_wraps_in_place_read_only(self):
+        arr = np.array([[0.25, 1.0], [0.75, 0.0]])
+        M = StochasticMatrix._owned(arr)
+        assert M.data is arr and M.dense is arr
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(M.data, StochasticMatrix(arr).data)
+        v = np.array([0.25, 0.75])
+        p = ProbabilityVector._owned(v)
+        assert p.values is v and not v.flags.writeable
+        with pytest.raises(ValueError):
+            p.values[0] = 1.0
+
+    def test_library_outputs_are_frozen(self, example3):
+        rec = reduction.reduce_block(example3, [0, 1])
+        assert not rec.R.data.flags.writeable
+        out = solvers.isospectral_stationary(example3, solvers.SolverConfig(s=2))
+        assert not out.v.values.flags.writeable
+        for v in (solvers.direct_stationary(example3).v, solvers.perron_frobenius(example3).v):
+            assert not v.values.flags.writeable
+
+
+class TestResidualFormula:
+    def test_bitwise_equal_to_linalg_norm(self):
+        rng = np.random.default_rng(20)
+        for k in range(400):
+            n = 3 + k % 58
+            A = rand_stochastic(rng, n)
+            data = sp.csc_matrix(A.data) if k % 4 == 0 else A.data
+            for v in (rng.random(n), rng.exponential(size=n) * 1e-150, np.full(n, 1.0 / n)):
+                assert residual(data, v) == float(np.linalg.norm(data @ v - v))
 
 
 class _TupleIndexSet:

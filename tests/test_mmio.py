@@ -6,6 +6,7 @@ from isored.core import StochasticMatrix
 from isored.errors import DimensionMismatch
 from isored.mmio import read_matrix, read_vector, write_matrix, write_vector
 from isored.randgen import BurrConfig, SparseGenConfig, gen_sparse_stochastic
+from isored.solvers import direct_stationary
 
 
 class TestMatrixRoundTrip:
@@ -67,6 +68,19 @@ class TestVectorFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "2"
         assert float(lines[1]) == 1.0 and float(lines[2]) == 2.5
+
+    @pytest.mark.parametrize("v", [[0.0], [1.0], [5e-324], [1 / 3], "burr"])
+    def test_bytes_match_per_line_writer(self, tmp_path, v):
+        if v == "burr":
+            A = gen_sparse_stochastic(SparseGenConfig(n=1000, nnz_per_col=4, burr=BurrConfig(0.2), seed=1))
+            v = direct_stationary(A).v.values
+        write_vector(tmp_path / "v.txt", v)
+        ref = tmp_path / "ref.txt"
+        with open(ref, "w") as fh:  # the former writer: one write per line
+            fh.write(f"{len(v)}\n")
+            for x in np.asarray(v, dtype=np.float64):
+                fh.write(f"{float(x)!r}\n")
+        assert (tmp_path / "v.txt").read_bytes() == ref.read_bytes()
 
     def test_length_mismatch_detected(self, tmp_path):
         path = tmp_path / "bad.txt"

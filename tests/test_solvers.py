@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgWarning
+from scipy.linalg import LinAlgWarning, lapack
 
 from isored.bench import RunConfig, _trial_inputs
 from isored.core import IndexSet, StochasticMatrix, residual
@@ -14,7 +16,7 @@ from isored.randgen import (
     gen_sparse_stochastic,
     make_banded,
 )
-from isored.reduction import FirstS, RandomS
+from isored.reduction import FirstS, RandomS, _peel
 from isored.solvers import (
     DIRECT_SIZE_LIMIT,
     SolverConfig,
@@ -108,6 +110,77 @@ class TestDirectStationary:
         A = StochasticMatrix(sp.csc_matrix(TWO_STATE.dense))
         out = direct_stationary(A)
         np.testing.assert_allclose(out.v.values, [0.9 / 1.9, 1.0 / 1.9], atol=1e-14)
+
+
+def former_dense_stationary(A):
+    """The former dense route of ``direct_stationary``, kept as a reference:
+    ``A - I`` through ``np.eye``, the last row replaced by ones, ``dgesv`` and
+    ``dgecon``, then the same clip, normalization and residual check through
+    ``np.linalg.norm``.  Returns the vector and its residual."""
+    n = A.n
+    M = np.subtract(A.dense, np.eye(n), order="F")
+    M[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    anorm = lapack.dlange("1", M)
+    lu, _, v, info = lapack.dgesv(M, rhs, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise SingularSystem(f"fixed-point system is singular: zero pivot {info}")
+    rcond, _ = lapack.dgecon(lu, anorm)
+    if rcond < np.finfo(np.float64).eps:
+        warnings.warn(f"ill-conditioned fixed-point system (rcond={rcond:.3e})", LinAlgWarning)
+    if not np.isfinite(v).all() or v.sum() <= 0:
+        raise SingularSystem("fixed-point solve produced a degenerate solution")
+    v = np.maximum(v, 0.0)
+    v /= v.sum()
+    res = float(np.linalg.norm(A.dense @ v - v))
+    if not np.isfinite(res) or res > 1e-6:
+        raise SingularSystem(f"fixed-point residual {res:.3e}; stationary measure not unique")
+    return v, res
+
+
+def _refusal(fn, A):
+    with pytest.raises(SingularSystem) as info:
+        fn(A)
+    return str(info.value)
+
+
+class TestDenseParity:
+    """The dense route against its former form, bit for bit."""
+
+    def test_bitwise_on_size_sweep(self):
+        # n = 3..60 four times over, as in the benchmark's small corpus
+        for k in range(232):
+            A = gen_dense_stochastic(3 + k % 58, seed=1000 + k)
+            out = direct_stationary(A)
+            v, res = former_dense_stationary(A)
+            assert out.v.values.tobytes() == v.tobytes(), k
+            assert out.residual == res, k
+
+    def test_identity_refused_alike(self):
+        A = StochasticMatrix(np.eye(3))
+        assert _refusal(direct_stationary, A) == _refusal(former_dense_stationary, A)
+
+    def test_two_essential_classes_refused_alike(self):
+        A = np.zeros((5, 5))
+        A[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
+        A[2:, 2:] = [[0.3, 0.7, 0.3], [0.7, 0.1, 0.3], [0.0, 0.2, 0.4]]
+        A = StochasticMatrix(A)
+        assert _refusal(direct_stationary, A) == _refusal(former_dense_stationary, A)
+
+    def test_ill_conditioned_warns_alike(self):
+        # two positive blocks that trade 1e-17 of their mass
+        B = gen_dense_stochastic(4, seed=5).dense
+        A = np.zeros((8, 8))
+        A[:4, :4] = A[4:, 4:] = B * (1 - 1e-17)
+        A[4, :4] = A[0, 4:] = 1e-17
+        A = StochasticMatrix(A)
+        with pytest.warns(LinAlgWarning) as new:
+            out = direct_stationary(A)
+        with pytest.warns(LinAlgWarning) as old:
+            v, res = former_dense_stationary(A)
+        assert [str(w.message) for w in new] == [str(w.message) for w in old]
+        assert out.v.values.tobytes() == v.tobytes() and out.residual == res
 
 
 def superlu_stationary(A):
@@ -237,6 +310,18 @@ class TestSparseDirect:
         out = direct_stationary(A)
         np.testing.assert_array_equal(out.v.values, np.eye(n)[k])
         np.testing.assert_allclose(superlu_stationary(A), out.v.values, atol=1e-15)
+
+    def test_peel_border_row_is_spare(self):
+        # the bordered layout holds the plain core and one zero row, in place
+        A = burr(200, 4)
+        r, rest = np.array([7]), np.delete(np.arange(200), 7)
+        _, _, Q, GC, _, _ = _peel(A.data, r, rest, 1.0)
+        _, _, Q_b, GC_b, _, _ = _peel(A.data, r, rest, 1.0, border=True)
+        q = Q.size
+        np.testing.assert_array_equal(Q_b, Q)
+        assert GC_b.shape == (q + 1, q + 1) and GC_b.flags.f_contiguous
+        assert GC_b[:q].tobytes(order="F") == GC.tobytes(order="F")
+        assert not GC_b[q].any()
 
     def test_periodic_two_cycle(self):
         A = sparse_chain([(1, 0, 1.0), (0, 1, 1.0)], 2)
