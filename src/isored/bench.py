@@ -1,9 +1,20 @@
 """Benchmark harness: baseline solver vs. the reduction scheme, trial by trial.
 
-Each trial generates a fresh heavy-tail sparse instance, measures the inner
-spectral radius, times the baseline solve and the full reduction scheme
-(selection + reduction + reduced solve + reconstruction), and records the
-two fixed-point residuals together with the distance between the solutions.
+A trial is one pass over one instance.  It generates a fresh heavy-tail
+sparse chain, takes its inner spectral radius ``rho_i`` once, times the
+baseline solve (``t1``) and the full reduction scheme (selection + reduction
++ reduced solve + reconstruction, ``t2``), and records the two fixed-point
+residuals ``e1`` and ``e2`` together with the distance ``d`` between the
+solutions.  Two more fields come from the same pass:
+
+* ``rho_r``: the inner spectral radius of the scheme's reduced chain R, or
+  NaN if the scheme failed;
+* ``e_direct``: the residual of ``direct_stationary``, the reference the
+  scheme's residual is judged against.  With the direct baseline this is
+  the baseline's own solve; with ``baseline="pf"`` it is one extra, untimed
+  direct solve after the scheme, flagged ``direct_failed:<Error>`` if it is
+  refused.
+
 Failures never abort a batch; they produce a flagged row with NaN residuals.
 
 Trials are deterministic given the base seed: trial ``k`` derives its RNG
@@ -27,7 +38,8 @@ from .reduction import RandomS
 from .solvers import SolverConfig, direct_stationary, isospectral_stationary, perron_frobenius
 from .spectral import inner_spectral_radius
 
-CSV_COLUMNS = ("rho_i", "t1", "t2", "e1", "e2", "d", "flags")
+CSV_COLUMNS = ("rho_i", "t1", "t2", "e1", "e2", "d", "rho_r", "e_direct", "flags")
+_FLOAT_COLUMNS = CSV_COLUMNS[:-1]
 
 
 @dataclass(frozen=True)
@@ -38,6 +50,8 @@ class BenchRecord:
     e1: float
     e2: float
     d: float
+    rho_r: float = math.nan
+    e_direct: float = math.nan
     flags: tuple = field(default_factory=tuple)
 
     @property
@@ -95,13 +109,16 @@ def _timed(label, flags, solve):
 
 
 def run_trial(cfg, k):
-    """One generate/measure/solve/solve round; returns a BenchRecord."""
+    """One pass over instance ``k``: generate, measure, solve; returns a BenchRecord."""
     A, solver_cfg = _trial_inputs(cfg, k)
     rho = inner_spectral_radius(A)
     flags = []
     base, t1 = _timed("baseline", flags, lambda: direct_stationary(A) if cfg.baseline == "direct"
                       else perron_frobenius(A, solver_cfg))
     scheme, t2 = _timed("scheme", flags, lambda: isospectral_stationary(A, solver_cfg))
+    direct = base
+    if cfg.baseline == "pf":
+        direct, _ = _timed("direct", flags, lambda: direct_stationary(A))
 
     nan = float("nan")
     both = base is not None and scheme is not None
@@ -112,6 +129,8 @@ def run_trial(cfg, k):
         e1=float(base.residual) if base is not None else nan,
         e2=float(scheme.residual) if scheme is not None else nan,
         d=float(np.linalg.norm(base.v.values - scheme.v.values)) if both else nan,
+        rho_r=float(inner_spectral_radius(scheme.reduction.R)) if scheme is not None else nan,
+        e_direct=float(direct.residual) if direct is not None else nan,
         flags=tuple(flags),
     )
 
@@ -177,8 +196,7 @@ def write_csv(path, records):
         writer.writerow(CSV_COLUMNS)
         for r in records:
             writer.writerow(
-                [repr(float(x)) for x in (r.rho_i, r.t1, r.t2, r.e1, r.e2, r.d)]
-                + [";".join(r.flags)]
+                [repr(float(getattr(r, name))) for name in _FLOAT_COLUMNS] + [";".join(r.flags)]
             )
 
 
@@ -192,13 +210,8 @@ def read_csv(path):
         for row in reader:
             records.append(
                 BenchRecord(
-                    rho_i=float(row[0]),
-                    t1=float(row[1]),
-                    t2=float(row[2]),
-                    e1=float(row[3]),
-                    e2=float(row[4]),
-                    d=float(row[5]),
-                    flags=tuple(f for f in row[6].split(";") if f),
+                    **{name: float(x) for name, x in zip(_FLOAT_COLUMNS, row)},
+                    flags=tuple(f for f in row[-1].split(";") if f),
                 )
             )
     return records

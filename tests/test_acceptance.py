@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release gate, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-summary lines.  The benchmark criteria regenerate the full 36-trial
-comparison at n = 1000 and take a few minutes.
+summary lines.  The benchmark criteria share one pass over the paper's
+36 chains at n = 1000 (``bench.run_comparison`` with the power-iteration
+baseline), which takes a little over a minute.
 """
 
 import time
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from isored.bench import RunConfig, _trial_inputs, run_comparison
+from isored.bench import RunConfig, run_comparison
 from isored.core import IndexSet, StochasticMatrix, residual
 from isored.randgen import (
     BurrConfig,
@@ -276,42 +277,31 @@ def test_criterion_08_gershgorin_decrease():
     _report("8", failures == 0, f"500 balanced matrices: row-sum increase count {failures}")
 
 
-PAPER_DIRECT = RunConfig(trials=36, n=1000, nnz=4, alpha=0.2, s=90, seed=1, baseline="direct")
+PAPER = RunConfig(trials=36, n=1000, nnz=4, alpha=0.2, s=90, seed=1, baseline="pf")
 
 
 @pytest.fixture(scope="module")
-def bench_direct():
+def paper_bench():
+    # one pass over the paper's 36 chains: rho_i(A), the power-iteration
+    # baseline, the scheme, rho_i(R) and the direct residual reference
     t0 = time.perf_counter()
-    records = run_comparison(PAPER_DIRECT)
+    records = run_comparison(PAPER)
     return records, time.perf_counter() - t0
 
 
-@pytest.fixture(scope="module")
-def bench_pf():
-    t0 = time.perf_counter()
-    records = run_comparison(
-        RunConfig(trials=36, n=1000, nnz=4, alpha=0.2, s=90, seed=1, baseline="pf")
-    )
-    return records, time.perf_counter() - t0
-
-
-def test_criterion_09a_inner_radius_distribution(bench_direct):
-    records, elapsed = bench_direct
+def test_criterion_09a_inner_radius_distribution(paper_bench):
+    records, elapsed = paper_bench
     med = float(np.median([r.rho_i for r in records]))
     ok = med >= 0.93 and elapsed < 600.0
     _report("9a", ok, f"36 trials: median rho_i {med:.4f} (>= 0.93), runtime {elapsed:.0f}s")
 
 
-def test_criterion_09a_reduction_widens_spectral_gap(bench_direct):
+def test_criterion_09a_reduction_widens_spectral_gap(paper_bench):
     # the paper iterates on R because its gap is wider; measured at seed 1:
     # median 1 - rho_i 0.0108 for A and 0.340 for R, smallest ratio 2.29
-    records, _ = bench_direct
+    records, _ = paper_bench
     gap_a = 1.0 - np.array([r.rho_i for r in records])
-    gap_r = np.empty(PAPER_DIRECT.trials)
-    for k in range(PAPER_DIRECT.trials):
-        A, solver_cfg = _trial_inputs(PAPER_DIRECT, k)
-        out = isospectral_stationary(A, solver_cfg)
-        gap_r[k] = 1.0 - inner_spectral_radius(out.reduction.R)
+    gap_r = 1.0 - np.array([r.rho_r for r in records])
     ratio = gap_r / gap_a
     ok = bool(np.all(gap_r > gap_a)) and ratio.min() >= 2.0 and np.median(gap_r) >= 0.3
     _report(
@@ -323,19 +313,20 @@ def test_criterion_09a_reduction_widens_spectral_gap(bench_direct):
     )
 
 
-def test_criterion_09b_scheme_residual_wins(bench_direct):
-    records, _ = bench_direct
-    ok_rows = [r for r in records if r.ok]
-    frac = sum(r.e2 <= r.e1 for r in ok_rows) / len(ok_rows)
+def test_criterion_09b_scheme_residual_wins(paper_bench):
+    records, _ = paper_bench
+    pairs = [(r.e2, r.e_direct) for r in records
+             if np.isfinite(r.e2) and np.isfinite(r.e_direct)]
+    frac = sum(e2 <= e_direct for e2, e_direct in pairs) / len(pairs)
     _report(
         "9b",
         frac >= 0.80,
-        f"e2 <= e1 in {frac:.2%} of {len(ok_rows)} convergent trials (>= 80%)",
+        f"e2 <= e_direct in {frac:.2%} of {len(pairs)} convergent trials (>= 80%)",
     )
 
 
-def test_criterion_09c_scheme_faster_than_iteration(bench_pf):
-    records, elapsed = bench_pf
+def test_criterion_09c_scheme_faster_than_iteration(paper_bench):
+    records, elapsed = paper_bench
     ok_rows = [r for r in records if r.ok]
     med = float(np.median([r.t2 / r.t1 for r in ok_rows]))
     ok = med < 1.0 and elapsed < 600.0

@@ -37,29 +37,44 @@ class TestRunComparison:
         for r in ok:
             assert r.e1 <= 1e-8 and r.e2 <= 1e-8
             assert r.d <= 1e-6
+            # under the direct baseline the reference is the baseline's own solve
+            assert r.e_direct == r.e1
+            assert r.rho_r <= 1.0 + 1e-9
 
     def test_deterministic_vectors(self):
         a = run_comparison(SMALL)
         b = run_comparison(SMALL)
         for r1, r2 in zip(a, b):
-            assert r1.rho_i == r2.rho_i
-            assert (r1.e1 == r2.e1) or (math.isnan(r1.e1) and math.isnan(r2.e1))
-            assert (r1.e2 == r2.e2) or (math.isnan(r1.e2) and math.isnan(r2.e2))
-            assert (r1.d == r2.d) or (math.isnan(r1.d) and math.isnan(r2.d))
+            for name in ("rho_i", "e1", "e2", "d", "rho_r", "e_direct"):
+                x, y = getattr(r1, name), getattr(r2, name)
+                assert (x == y) or (math.isnan(x) and math.isnan(y))
             assert r1.flags == r2.flags
 
     def test_parallel_matches_serial(self, small_records):
         par = run_comparison(SMALL, parallel=2)
         for r1, r2 in zip(small_records, par):
-            assert r1.rho_i == r2.rho_i
-            assert (r1.d == r2.d) or (math.isnan(r1.d) and math.isnan(r2.d))
+            for name in ("rho_i", "rho_r", "e_direct", "d"):
+                a, b = getattr(r1, name), getattr(r2, name)
+                assert (a == b) or (math.isnan(a) and math.isnan(b))
 
     def test_failure_rows_flagged_not_dropped(self):
-        # two disconnected essential blocks: the direct baseline must fail,
-        # the scheme must fail or flag, and the row must survive with NaNs
-        cfg = RunConfig(trials=1, n=6, nnz=3, alpha=0.3, s=2, seed=0)
-        rec = run_trial(cfg, 0)
-        assert isinstance(rec, BenchRecord)  # smoke: normal instances work
+        # one nonzero per column: instance 0 is reducible, so the direct solve
+        # and the scheme's elimination refuse it; the row survives with NaNs
+        direct = run_trial(RunConfig(trials=1, n=6, nnz=1, alpha=0.3, s=2, seed=1), 0)
+        assert direct.flags == ("baseline_failed:SingularSystem",
+                                "scheme_failed:SingularElimination")
+        assert not direct.ok
+        for x in (direct.e1, direct.e2, direct.d, direct.rho_r, direct.e_direct):
+            assert math.isnan(x)
+
+        # power iteration does not refuse the chain, so e1 stays finite; the
+        # extra direct solve is refused and flagged under its own label
+        pf = run_trial(RunConfig(trials=1, n=6, nnz=1, alpha=0.3, s=2, seed=1,
+                                 baseline="pf"), 0)
+        assert pf.flags == ("scheme_failed:SingularElimination", "direct_failed:SingularSystem")
+        assert not pf.ok and math.isfinite(pf.e1)
+        for x in (pf.e2, pf.d, pf.rho_r, pf.e_direct):
+            assert math.isnan(x)
 
     def test_timed_call_flags_outcomes_and_typed_failures(self):
         class Outcome:
@@ -82,6 +97,8 @@ class TestRunComparison:
         for r in records:
             if r.ok:
                 assert r.e1 <= 1e-6
+            if math.isfinite(r.e_direct):
+                assert r.e_direct <= 1e-8
 
 
 class TestSummarize:
@@ -143,7 +160,7 @@ class TestCsv:
         back = read_csv(path)
         assert len(back) == len(small_records)
         for r1, r2 in zip(small_records, back):
-            for name in ("rho_i", "t1", "t2", "e1", "e2", "d"):
+            for name in ("rho_i", "t1", "t2", "e1", "e2", "d", "rho_r", "e_direct"):
                 a, b = getattr(r1, name), getattr(r2, name)
                 assert (a == b) or (math.isnan(a) and math.isnan(b))
             assert r1.flags == r2.flags
@@ -152,14 +169,15 @@ class TestCsv:
         path = tmp_path / "bench.csv"
         write_csv(path, small_records)
         with open(path) as fh:
-            assert fh.readline().strip() == "rho_i,t1,t2,e1,e2,d,flags"
+            assert fh.readline().strip() == "rho_i,t1,t2,e1,e2,d,rho_r,e_direct,flags"
 
     def test_nan_round_trip(self, tmp_path):
         nan = float("nan")
-        rec = BenchRecord(rho_i=1.0, t1=0.1, t2=0.1, e1=nan, e2=nan, d=nan,
-                          flags=("baseline_failed:SingularSystem",))
+        rec = BenchRecord(rho_i=1.0, t1=0.1, t2=0.1, e1=nan, e2=nan, d=nan, rho_r=nan,
+                          e_direct=nan, flags=("baseline_failed:SingularSystem",))
         path = tmp_path / "n.csv"
         write_csv(path, [rec])
         back = read_csv(path)[0]
-        assert math.isnan(back.e1) and math.isnan(back.d)
+        for x in (back.e1, back.d, back.rho_r, back.e_direct):
+            assert math.isnan(x)
         assert back.flags == rec.flags

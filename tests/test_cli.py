@@ -129,7 +129,7 @@ class TestBenchCommand:
         assert "t2_over_t1" in text
         with open(out) as fh:
             rows = fh.read().splitlines()
-        assert rows[0] == "rho_i,t1,t2,e1,e2,d,flags"
+        assert rows[0] == "rho_i,t1,t2,e1,e2,d,rho_r,e_direct,flags"
         assert len(rows) == 3
         assert code in (0, 1)
 
