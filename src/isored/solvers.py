@@ -4,17 +4,18 @@ Three routes to a fixed point ``A v = v`` on the probability simplex:
 
 * :func:`perron_frobenius` -- plain power iteration from a random simplex
   point, stopping when the squared update drops below ``10**(-2p)``;
-* :func:`direct_stationary` -- one LU solve of ``(A - I) v = 0`` with one
-  equation replaced by the normalization ``sum(v) = 1``: the last one of a
-  dense matrix, factored whole; on sparse input, one of a vertex of the
-  essential class, whose complement is peeled by the block reduction's
-  independent-set levels down to one bordered dense core;
+* :func:`direct_stationary` -- once one essential class (a unique measure)
+  is found structurally, one LU solve of ``(A - I) v = 0`` with one equation
+  replaced by ``sum(v) = 1``: the last one of a dense matrix, factored
+  whole; on sparse input, one of a vertex of the essential class, whose
+  complement is peeled by the block reduction's levels to one dense core;
 * :func:`isospectral_stationary` -- reduce over a kept set, solve the
   reduced chain with :func:`direct_stationary`, reconstruct.  The route of
   choice when several eigenvalues crowd the unit circle and iteration
   stalls: at ``lambda = 1`` the reduction is the stochastic complement,
-  which keeps a near-decoupled chain near-decoupled, so iterating on the
-  reduced chain would stall as well.
+  which keeps the class structure (so a second essential class is refused
+  on R as on A; ``inner="pf"`` does not check) and keeps a near-decoupled
+  chain near-decoupled, so iterating on the reduced chain would stall too.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class SolverConfig:
     strategy: object | None = None  # SelectionStrategy; defaults to RandomS(s, seed)
     regap_threshold: float = 0.999  # has no effect
     max_rereductions: int = 2       # has no effect
-    inner: str = "auto"             # "auto" and "direct" solve R directly; "pf" iterates
+    inner: str = "direct"           # "direct" solves R directly; "pf" iterates
 
     def __post_init__(self):
         if self.p < 1:
@@ -65,8 +66,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.regap_threshold < 1.0:
             raise ValueError("regap_threshold must lie in (0, 1)")
-        if self.inner not in ("auto", "direct", "pf"):
-            raise ValueError(f"inner must be 'auto', 'direct' or 'pf', got {self.inner!r}")
+        if self.inner not in ("direct", "pf"):
+            raise ValueError(f"inner must be 'direct' or 'pf', got {self.inner!r}")
 
 
 @dataclass(frozen=True)
@@ -135,29 +136,37 @@ def _lu_solve(M, rhs):
     return v, rcond
 
 
-def _solve_on_peel(A):
-    """Sparse replaced system: the equation of a vertex ``r`` of the essential
-    class is replaced by ``sum(v) = 1``, and every other vertex is eliminated.
-
-    The eliminated set holds no closed class only when ``r`` lies in the one
-    essential class, so that class is found first, structurally; then
-    ``I - A[~r,~r]`` is a nonsingular M-matrix and the peel of
-    :func:`reduction._peel` needs no pivoting; a vertex whose pivot rounds
-    to zero stays in the core, which ``dgesv`` pivots.  The core leaves the
-    bordered system ``[[G, -C], [f[Q], 1 + f_r]] [x_Q; v_r] = e_last``,
-    where the row ``f`` is the normalization folded forward through the
-    levels; the rest of ``v`` is folded back level by level.  Returns ``v``
-    and the core's reciprocal condition estimate.
-    """
-    n = A.n
-    if n == 1:
-        return np.ones(1), 1.0
+def _essential_root(A):
+    """The largest vertex of the one essential class of ``A``, else
+    :class:`SingularSystem`: the stationary measure is unique exactly then.
+    A dense chain with no zero entry is one class; any other chain's
+    classes are counted on one strong-components labelling."""
+    if not A.is_sparse and A.data.min() > 0:
+        return A.n - 1
     _, _, root, _, cyclic, leaks = _labelling(A)
     essential = np.flatnonzero(cyclic & ~leaks)
     if essential.size != 1:
         raise SingularSystem(
             f"{essential.size} essential classes; stationary measure not unique")
-    r = np.flatnonzero(root == essential[0])[-1]
+    return np.flatnonzero(root == essential[0])[-1]
+
+
+def _solve_on_peel(A, r):
+    """Sparse replaced system: the equation of ``r``, a vertex of the one
+    essential class, is replaced by ``sum(v) = 1``; the rest are eliminated.
+
+    They hold no closed class, so ``I - A[~r,~r]`` is a nonsingular M-matrix
+    and the peel of :func:`reduction._peel` needs no pivoting; a vertex
+    whose pivot rounds to zero stays in the core, which ``dgesv`` pivots.
+    The core leaves the bordered system
+    ``[[G, -C], [f[Q], 1 + f_r]] [x_Q; v_r] = e_last``, where the row ``f``
+    is the normalization folded forward through the levels; the rest of
+    ``v`` is folded back level by level.  Returns ``v`` and the core's
+    reciprocal condition estimate.
+    """
+    n = A.n
+    if n == 1:
+        return np.ones(1), 1.0
     rest = np.delete(np.arange(n), r)
     _, levels, Q, M, f, _ = _peel(A.data, np.array([r]), rest, 1.0, border=True)
     d, q = n - 1, Q.size
@@ -175,18 +184,23 @@ def _solve_on_peel(A):
     return v, rcond
 
 
-def _solve_replaced_system(A):
-    """Solve (A - I) v = 0 with one equation replaced by sum(v) = 1.
+def direct_stationary(A):
+    """LU baseline: ``(A - I) v = 0`` with one equation replaced by
+    ``sum(v) = 1``.
 
-    Dense input replaces the last equation and takes one ``dgesv`` of the
-    full system.  Sparse input goes through :func:`_solve_on_peel`: the
-    equation of a vertex of the essential class is replaced, the other
-    vertices are peeled as in a block reduction, and one ``dgesv`` solves
-    the bordered dense core.  Either route warns with ``LinAlgWarning``
-    when the LU's reciprocal condition estimate falls below machine epsilon.
+    :func:`_essential_root` refuses a chain without exactly one essential
+    class first, for both storages.  Dense input then replaces the last
+    equation (any one serves once the measure is unique) and takes one
+    ``dgesv`` of the full system; sparse input goes through
+    :func:`_solve_on_peel`.  Either way a reciprocal condition estimate
+    below machine epsilon warns with ``LinAlgWarning``, and the clipped,
+    normalized vector must leave a residual of at most 1e-6.
     """
+    A = validate_stochastic(A)
+    start = time.perf_counter()
+    r = _essential_root(A)
     if A.is_sparse:
-        v, rcond = _solve_on_peel(A)
+        v, rcond = _solve_on_peel(A, r)
     else:
         n = A.n
         M = np.array(A.dense, order="F")
@@ -198,34 +212,15 @@ def _solve_replaced_system(A):
     # the ill-conditioning warning of scipy.linalg.solve
     if rcond < _EPS:
         warnings.warn(f"ill-conditioned fixed-point system (rcond={rcond:.3e})",
-                      LinAlgWarning, stacklevel=3)
+                      LinAlgWarning, stacklevel=2)
     total = v.sum()  # finite only if every entry is
     if not (math.isfinite(total) and total > 0):
         raise SingularSystem("fixed-point solve produced a degenerate solution")
-    return v
-
-
-def direct_stationary(A):
-    """LU baseline; raises :class:`SingularSystem` when the stationary
-    measure is not unique (1 is a multiple eigenvalue).
-
-    Dense input: one ``dgesv`` of ``A - I`` with the last row replaced by
-    ones.  Sparse input: the essential classes are counted on one
-    strong-components labelling, so a second one is refused structurally;
-    then the equation of a vertex of the essential class is replaced, every
-    other vertex is peeled as in :func:`reduction.reduce_block`, and one
-    ``dgesv`` solves the bordered core.  Either way a reciprocal condition
-    estimate below machine epsilon warns with ``LinAlgWarning``, and the
-    clipped, normalized vector must leave a residual of at most 1e-6.
-    """
-    A = validate_stochastic(A)
-    start = time.perf_counter()
-    v = _solve_replaced_system(A)
     np.maximum(v, 0.0, out=v)
     v /= v.sum()
     res = residual(A, v)
     if not res <= 1e-6:  # nan fails too
-        raise SingularSystem(f"fixed-point residual {res:.3e}; stationary measure not unique")
+        raise SingularSystem(f"fixed-point residual {res:.3e} exceeds 1e-6")
     return SolveOutcome(
         v=ProbabilityVector._owned(v),
         iterations=0,
@@ -282,8 +277,9 @@ def isospectral_stationary(A, cfg=SolverConfig()):
     The kept set comes from ``cfg.strategy`` (default: uniform random of size
     ``cfg.s``).  A singular elimination is retried with a fresh random set up
     to ``MAX_REDUCTION_ATTEMPTS`` draws in all.  The reduced chain is solved
-    by :func:`direct_stationary` at every size, or by power iteration when
-    ``cfg.inner`` is ``"pf"``.
+    by :func:`direct_stationary` at every size, which refuses it, as it
+    would ``A``, when it has more than one essential class; power iteration
+    (``cfg.inner == "pf"``) does not check this yet.
     """
     A = validate_stochastic(A)
     start = time.perf_counter()
@@ -337,5 +333,4 @@ __all__ = [
     "isospectral_stationary",
     "estimate_inner_radius",
     "solve",
-    "DIRECT_SIZE_LIMIT",
 ]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgWarning, lapack
+from scipy.linalg import LinAlgWarning, block_diag, lapack
 
 from isored.bench import RunConfig, _trial_inputs
 from isored.core import IndexSet, StochasticMatrix, residual
@@ -111,6 +111,20 @@ class TestDirectStationary:
         out = direct_stationary(A)
         np.testing.assert_allclose(out.v.values, [0.9 / 1.9, 1.0 / 1.9], atol=1e-14)
 
+    def test_two_positive_blocks_refused_in_both_storages(self):
+        # two closed positive blocks, shuffled: the dense LU used to find no
+        # zero pivot and return one of the measures at a residual near 1e-17,
+        # with only a LinAlgWarning
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            sizes = rng.integers(2, 30, size=2)
+            B = block_diag(*(rand_stochastic(rng, int(k)).dense for k in sizes))
+            perm = rng.permutation(B.shape[0])
+            B = B[perm][:, perm]
+            for A in (StochasticMatrix(B), StochasticMatrix(sp.csc_matrix(B))):
+                with pytest.raises(SingularSystem, match="2 essential classes"):
+                    direct_stationary(A)
+
 
 def former_dense_stationary(A):
     """The former dense route of ``direct_stationary``, kept as a reference:
@@ -139,12 +153,6 @@ def former_dense_stationary(A):
     return v, res
 
 
-def _refusal(fn, A):
-    with pytest.raises(SingularSystem) as info:
-        fn(A)
-    return str(info.value)
-
-
 class TestDenseParity:
     """The dense route against its former form, bit for bit."""
 
@@ -157,16 +165,22 @@ class TestDenseParity:
             assert out.v.values.tobytes() == v.tobytes(), k
             assert out.residual == res, k
 
+    # only the type is compared: the refusal now comes from the count of
+    # essential classes, the former route's from the LU
     def test_identity_refused_alike(self):
         A = StochasticMatrix(np.eye(3))
-        assert _refusal(direct_stationary, A) == _refusal(former_dense_stationary, A)
+        for solver in (direct_stationary, former_dense_stationary):
+            with pytest.raises(SingularSystem):
+                solver(A)
 
     def test_two_essential_classes_refused_alike(self):
         A = np.zeros((5, 5))
         A[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
         A[2:, 2:] = [[0.3, 0.7, 0.3], [0.7, 0.1, 0.3], [0.0, 0.2, 0.4]]
         A = StochasticMatrix(A)
-        assert _refusal(direct_stationary, A) == _refusal(former_dense_stationary, A)
+        for solver in (direct_stationary, former_dense_stationary):
+            with pytest.raises(SingularSystem):
+                solver(A)
 
     def test_ill_conditioned_warns_alike(self):
         # two positive blocks that trade 1e-17 of their mass
@@ -447,6 +461,16 @@ class TestIsospectral:
         with pytest.raises((SingularElimination, SingularSystem)):
             isospectral_stationary(M, SolverConfig(seed=0, s=1))
 
+    def test_two_burr_blocks_refused(self):
+        # R keeps both closed classes, and its dense solve used to return a
+        # vector of one of them, unflagged
+        for k in range(3):
+            A = StochasticMatrix(sp.block_diag([burr(300, 2 * k).data, burr(300, 2 * k + 1).data],
+                                               format="csc"))
+            cfg = SolverConfig(seed=k, s=60, strategy=RandomS(60, k))
+            with pytest.raises(SingularSystem, match="2 essential classes"):
+                isospectral_stationary(A, cfg)
+
     def test_pf_inner_solver(self):
         rng = np.random.default_rng(11)
         A = rand_stochastic(rng, 30)
@@ -471,6 +495,12 @@ class TestIsospectral:
         # an unknown name used to fall through to power iteration
         with pytest.raises(ValueError, match="inner"):
             SolverConfig(inner="lu")
+
+    def test_auto_alias_removed(self):
+        # "auto" was an alias of "direct", the default
+        assert SolverConfig().inner == "direct"
+        with pytest.raises(ValueError, match="inner"):
+            SolverConfig(inner="auto")
 
 
 class TestSolveDispatch:
