@@ -30,7 +30,6 @@ from .reduction import (
     reduce_at,
     reduce_block,
     reduce_sequential,
-    reduction_cost,
     select_subset,
 )
 from .solvers import (
@@ -77,7 +76,6 @@ __all__ = [
     "reduce_at",
     "reduce_block",
     "reduce_sequential",
-    "reduction_cost",
     "select_subset",
     "SolveOutcome",
     "SolverConfig",

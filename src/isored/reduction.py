@@ -125,16 +125,17 @@ def _independent_set(core, rows, cols):
     return np.flatnonzero(taken | free)
 
 
-def _peel(data, keep, drop, lam, border=False):
-    """Sparse half of :func:`_schur`: peel independent sets down to a dense core.
+def _peel(data, keep, drop, lam, hold=None):
+    """Peel independent sets of the eliminated block down to a dense core.
 
-    Works in local numbering (eliminated vertices ``0..d-1``, then kept ones)
-    on the entries of the eliminated rows.  Fill is appended, not merged: a
-    position may repeat, its entries add up, and the density test counts
-    stored entries.  A vertex whose pivot ``lam - m_jj`` is not positive is
-    never peeled; it stays in the core.  Returns ``(top, levels, Q, GC, f,
-    anorm)`` with ``GC = [lam I - M[Q,Q] | M[Q,S]]`` in Fortran order; with
-    ``border``, ``GC`` has one more row, of zeros, for the caller to fill.
+    The sparse half of :func:`_schur`, and with ``keep`` empty the whole of
+    the sparse direct solve.  Works in local numbering (eliminated vertices
+    ``0..d-1``, then kept ones) on the entries of the eliminated rows.  Fill
+    is appended, not merged: a position may repeat, its entries add up, and
+    the density test counts stored entries.  A vertex whose pivot ``lam -
+    m_jj`` is not positive is never peeled, nor is one of ``hold`` (vertices
+    of ``drop``); both stay in the core.  Returns ``(top, levels, Q, GC, f,
+    anorm)`` with ``GC = [lam I - M[Q,Q] | M[Q,S]]`` in Fortran order.
     """
     n, d, s = data.shape[0], drop.size, keep.size
     loc = np.empty(n, dtype=np.intp)
@@ -159,23 +160,21 @@ def _peel(data, keep, drop, lam, border=False):
     slot = np.empty(n, dtype=np.intp)
     levels = []
     q = d
-    held = None  # core vertices without a positive pivot, once one is met
+    held = np.zeros(n, dtype=bool)  # core vertices never peeled
+    if hold is not None:
+        held[loc[hold]] = True
     while True:
         within = cols < d  # every row left is a core row
         if q == 0 or np.count_nonzero(within) >= SPARSE_DENSITY_THRESHOLD * q * q:
             break
-        within &= off
-        free = core
-        if held is not None:
-            free = core & ~held
-            within &= free[rows] & free[cols]
+        free = core & ~held
+        within &= off & free[rows] & free[cols]
         P = _independent_set(free, rows[within], cols[within])
         piv = lam - diag[P]
         if not np.all(piv > 0):
             # fill only raises a diagonal, so such a vertex stays in the core,
             # where dgetrf pivots and the certificate of _schur judges it
             ok = piv > 0
-            held = np.zeros(n, dtype=bool) if held is None else held
             held[P[~ok]] = True
             P, piv = P[ok], piv[ok]
         if not P.size:
@@ -212,10 +211,9 @@ def _peel(data, keep, drop, lam, border=False):
     at[d:] = q + np.arange(s)
     c_at = at[cols]
     signed = np.where(c_at < q, -vals, vals)  # repeated positions add up in bincount
-    ld = q + 1 if border else q
-    GC = np.bincount(c_at * ld + at[rows], signed, minlength=ld * (q + s))
-    GC = GC.astype(np.float64, copy=False).reshape(q + s, ld).T  # no entries: int zeros
-    GC.T.reshape(-1)[: q * (ld + 1) : ld + 1] += lam
+    GC = np.bincount(c_at * q + at[rows], signed, minlength=q * (q + s))
+    GC = GC.astype(np.float64, copy=False).reshape(q + s, q).T  # no entries: int zeros
+    GC.T.reshape(-1)[: q * q : q + 1] += lam
     return top, levels, Q, GC, f, anorm
 
 
@@ -247,7 +245,7 @@ def _schur(data, keep, drop, lam):
     complement of it; a vertex whose rounded pivot is not positive stays in
     the core, where ``dgetrf`` pivots.
 
-    One tail serves both: one in-place LU of the bordered core ``[G | C]``,
+    One tail serves both: one in-place LU of the core ``[G | C]``,
     ``G = lam I - M[Q,Q]``, ``C = M[Q,S]`` (pivots come from G's columns,
     and C becomes ``L^-1 P C``), one triangular solve for the lift rows
     ``G^-1 C``, the rest of the lift folded back level by level with ``X[P]
@@ -545,15 +543,3 @@ def reconstruct_stationary(rec, v_R):
     full /= total
     return ProbabilityVector._owned(full)
 
-
-def reduction_cost(n, s, mode):
-    """Exact flop count of the reduction, ``mode`` one of 'block'/'sequential'."""
-    n, s = int(n), int(s)
-    if not 1 <= s < n:
-        raise DimensionMismatch(f"need 1 <= s < n, got s={s}, n={n}")
-    if mode == "block":
-        d = n - s
-        return d**3 + d**2 * s + s**2 * d + s**2
-    if mode == "sequential":
-        return ((n + 1) * n * (n - 1) - (s + 1) * s * (s - 1)) // 3
-    raise ValueError(f"mode must be 'block' or 'sequential', got {mode!r}")

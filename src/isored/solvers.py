@@ -1,21 +1,24 @@
 """Stationary-measure solvers with instrumentation.
 
-Three routes to a fixed point ``A v = v`` on the probability simplex:
+Three routes to a fixed point ``A v = v`` on the probability simplex, each of
+which first refuses a chain without exactly one essential class (a measure
+that is not unique):
 
 * :func:`perron_frobenius` -- plain power iteration from a random simplex
   point, stopping when the squared update drops below ``10**(-2p)``;
-* :func:`direct_stationary` -- once one essential class (a unique measure)
-  is found structurally, one LU solve of ``(A - I) v = 0`` with one equation
-  replaced by ``sum(v) = 1``: the last one of a dense matrix, factored
-  whole; on sparse input, one of a vertex of the essential class, whose
-  complement is peeled by the block reduction's levels to one dense core;
+* :func:`direct_stationary` -- one LU solve of ``(A - I) v = 0`` with its
+  last equation replaced by ``sum(v) = 1``.  A dense matrix is factored
+  whole; a sparse one is first peeled by the block reduction's levels, every
+  vertex but one of the essential class, and the same replaced system is
+  solved on the dense core, ``I`` minus the stochastic complement, then
+  folded back;
 * :func:`isospectral_stationary` -- reduce over a kept set, solve the
   reduced chain with :func:`direct_stationary`, reconstruct.  The route of
   choice when several eigenvalues crowd the unit circle and iteration
   stalls: at ``lambda = 1`` the reduction is the stochastic complement,
   which keeps the class structure (so a second essential class is refused
-  on R as on A; ``inner="pf"`` does not check) and keeps a near-decoupled
-  chain near-decoupled, so iterating on the reduced chain would stall too.
+  on R as on A) and keeps a near-decoupled chain near-decoupled, so
+  iterating on the reduced chain would stall too.
 """
 
 from __future__ import annotations
@@ -94,11 +97,15 @@ def _random_simplex_point(n, rng):
 def perron_frobenius(A, cfg=SolverConfig()):
     """Iterate ``v <- A v`` until the squared update is below ``10**(-2p)``.
 
-    On hitting ``max_iters`` the best iterate is returned with the flag
+    A chain without exactly one essential class is refused first, with
+    :class:`SingularSystem`, as :func:`direct_stationary` refuses it: the
+    iteration would stop on a start-dependent vector.  On hitting
+    ``max_iters`` the best iterate is returned with the flag
     ``max_iters_exceeded`` set; critical matrices are expected to do this.
     """
     A = validate_stochastic(A)
     start = time.perf_counter()
+    _essential_root(A)
     rng = np.random.default_rng(cfg.seed)
     v = _random_simplex_point(A.n, rng)
     data = A.data.tocsr() if A.is_sparse else A.data
@@ -151,64 +158,42 @@ def _essential_root(A):
     return np.flatnonzero(root == essential[0])[-1]
 
 
-def _solve_on_peel(A, r):
-    """Sparse replaced system: the equation of ``r``, a vertex of the one
-    essential class, is replaced by ``sum(v) = 1``; the rest are eliminated.
-
-    They hold no closed class, so ``I - A[~r,~r]`` is a nonsingular M-matrix
-    and the peel of :func:`reduction._peel` needs no pivoting; a vertex
-    whose pivot rounds to zero stays in the core, which ``dgesv`` pivots.
-    The core leaves the bordered system
-    ``[[G, -C], [f[Q], 1 + f_r]] [x_Q; v_r] = e_last``, where the row ``f``
-    is the normalization folded forward through the levels; the rest of
-    ``v`` is folded back level by level.  Returns ``v`` and the core's
-    reciprocal condition estimate.
-    """
-    n = A.n
-    if n == 1:
-        return np.ones(1), 1.0
-    rest = np.delete(np.arange(n), r)
-    _, levels, Q, M, f, _ = _peel(A.data, np.array([r]), rest, 1.0, border=True)
-    d, q = n - 1, Q.size
-    np.negative(M[:q, q], out=M[:q, q])
-    M[q, :q] = f[Q]
-    M[q, q] = 1.0 + f[d]
-    rhs = np.zeros(q + 1)
-    rhs[-1] = 1.0
-    X = np.zeros(n)  # local numbering: eliminated vertices, then r
-    X[np.append(Q, d)], rcond = _lu_solve(M, rhs)
-    for P, _, W, _, _ in reversed(levels):
-        X[P] = W @ X
-    v = np.empty(n)
-    v[rest], v[r] = X[:d], X[d]
-    return v, rcond
-
-
 def direct_stationary(A):
-    """LU baseline: ``(A - I) v = 0`` with one equation replaced by
+    """LU baseline: ``(A - I) v = 0`` with its last equation replaced by
     ``sum(v) = 1``.
 
     :func:`_essential_root` refuses a chain without exactly one essential
-    class first, for both storages.  Dense input then replaces the last
-    equation (any one serves once the measure is unique) and takes one
-    ``dgesv`` of the full system; sparse input goes through
-    :func:`_solve_on_peel`.  Either way a reciprocal condition estimate
-    below machine epsilon warns with ``LinAlgWarning``, and the clipped,
-    normalized vector must leave a residual of at most 1e-6.
+    class first, for both storages; once the measure is unique, any one
+    equation may go.  Dense input takes one ``dgesv`` of the full system.
+    Sparse input is first peeled by :func:`reduction._peel`, every vertex
+    but the largest of the essential class and those whose pivot rounds to
+    zero (``dgesv`` pivots them); the other vertices hold no closed class,
+    so the peel needs no pivoting.  What is left is the core system ``G = I
+    - C``, ``C`` the stochastic complement of ``A`` on the core, which keeps
+    the one essential class; it is solved the same way, and the rest of
+    ``v`` is folded back level by level.  Either way a reciprocal condition
+    estimate below machine epsilon warns with ``LinAlgWarning``, and the
+    clipped, normalized vector must leave a residual of at most 1e-6.
     """
     A = validate_stochastic(A)
     start = time.perf_counter()
+    n = A.n
     r = _essential_root(A)
     if A.is_sparse:
-        v, rcond = _solve_on_peel(A, r)
+        _, levels, Q, M, _, _ = _peel(A.data, np.empty(0, np.intp), np.arange(n), 1.0, hold=[r])
     else:
-        n = A.n
+        levels = ()
         M = np.array(A.dense, order="F")
         M.T.reshape(-1)[:: n + 1] -= 1.0  # A - I: only the diagonal changes
-        M[-1, :] = 1.0
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
-        v, rcond = _lu_solve(M, rhs)
+    M[-1, :] = 1.0
+    rhs = np.zeros(M.shape[0])
+    rhs[-1] = 1.0
+    v, rcond = _lu_solve(M, rhs)
+    if levels:  # v holds the core Q; the peeled vertices fold back
+        v, v_Q = np.zeros(n), v
+        v[Q] = v_Q
+        for P, _, W, _, _ in reversed(levels):
+            v[P] = W @ v
     # the ill-conditioning warning of scipy.linalg.solve
     if rcond < _EPS:
         warnings.warn(f"ill-conditioned fixed-point system (rcond={rcond:.3e})",
@@ -277,9 +262,9 @@ def isospectral_stationary(A, cfg=SolverConfig()):
     The kept set comes from ``cfg.strategy`` (default: uniform random of size
     ``cfg.s``).  A singular elimination is retried with a fresh random set up
     to ``MAX_REDUCTION_ATTEMPTS`` draws in all.  The reduced chain is solved
-    by :func:`direct_stationary` at every size, which refuses it, as it
-    would ``A``, when it has more than one essential class; power iteration
-    (``cfg.inner == "pf"``) does not check this yet.
+    by :func:`direct_stationary` at every size, or iterated on by
+    :func:`perron_frobenius` (``cfg.inner == "pf"``); either refuses it, as
+    it would ``A``, when it has more than one essential class.
     """
     A = validate_stochastic(A)
     start = time.perf_counter()

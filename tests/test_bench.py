@@ -67,13 +67,14 @@ class TestRunComparison:
         for x in (direct.e1, direct.e2, direct.d, direct.rho_r, direct.e_direct):
             assert math.isnan(x)
 
-        # power iteration does not refuse the chain, so e1 stays finite; the
-        # extra direct solve is refused and flagged under its own label
+        # power iteration refuses the chain too; the extra direct solve is
+        # refused and flagged under its own label
         pf = run_trial(RunConfig(trials=1, n=6, nnz=1, alpha=0.3, s=2, seed=1,
                                  baseline="pf"), 0)
-        assert pf.flags == ("scheme_failed:SingularElimination", "direct_failed:SingularSystem")
-        assert not pf.ok and math.isfinite(pf.e1)
-        for x in (pf.e2, pf.d, pf.rho_r, pf.e_direct):
+        assert pf.flags == ("baseline_failed:SingularSystem",
+                            "scheme_failed:SingularElimination", "direct_failed:SingularSystem")
+        assert not pf.ok
+        for x in (pf.e1, pf.e2, pf.d, pf.rho_r, pf.e_direct):
             assert math.isnan(x)
 
     def test_timed_call_flags_outcomes_and_typed_failures(self):

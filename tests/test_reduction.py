@@ -32,7 +32,6 @@ from isored.reduction import (
     reduce_at,
     reduce_block,
     reduce_sequential,
-    reduction_cost,
     select_subset,
 )
 from isored.reduction import _finish_stochastic, _independent_set
@@ -747,22 +746,6 @@ class TestReconstruct:
         rec = reduce_block(example3, IndexSet([0, 1], 3))
         with pytest.raises(DimensionMismatch):
             reconstruct_stationary(rec, [1.0])
-
-
-class TestReductionCost:
-    def test_block_example(self):
-        assert reduction_cost(1000, 90, "block") == 835479100
-
-    def test_sequential_example(self):
-        assert reduction_cost(1000, 90, "sequential") == 333090030
-
-    def test_single_step(self):
-        for n in (5, 17, 100):
-            assert reduction_cost(n, n - 1, "sequential") == n * (n - 1)
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(DimensionMismatch):
-            reduction_cost(5, 5, "block")
 
 
 class TestGershgorinShrinks:

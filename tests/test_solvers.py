@@ -16,7 +16,7 @@ from isored.randgen import (
     gen_sparse_stochastic,
     make_banded,
 )
-from isored.reduction import FirstS, RandomS, _peel
+from isored.reduction import FirstS, RandomS
 from isored.solvers import (
     DIRECT_SIZE_LIMIT,
     SolverConfig,
@@ -46,10 +46,9 @@ class TestPerronFrobenius:
         assert 175 / 3 <= out.iterations <= 175 * 3
 
     def test_identity_fixes_start(self):
-        out = perron_frobenius(StochasticMatrix(np.eye(2)), SolverConfig(seed=3))
-        assert out.converged
-        assert out.iterations == 1
-        assert out.residual <= 1e-15
+        # the identity fixes every start: two essential classes, refused
+        with pytest.raises(SingularSystem, match="2 essential classes"):
+            perron_frobenius(StochasticMatrix(np.eye(2)), SolverConfig(seed=3))
 
     def test_max_iters_flag_on_periodic(self):
         out = perron_frobenius(
@@ -257,16 +256,22 @@ def birth_death_exact(A):
 
 
 class TestSparseDirect:
-    """The sparse route: peel to a bordered dense core, against SuperLU."""
+    """The sparse route: peel to a dense core, against SuperLU."""
 
     # 3744086969 is burr-paper seed 202 instance 29: column 352 holds a_jj ==
     # 1.0 in floating point and three off-diagonal entries of 1e-26 to 1e-23,
-    # so its pivot is 0 and the peel must leave it to the core
+    # so its pivot is 0 and the peel must leave it to the core.  The last five
+    # are burr-paper 2003/4, 2003/23, 2005/18, 2008/1 and 5003/2: near-decoupled
+    # chains whose solve must not warn, though the vector is well determined
     @pytest.mark.parametrize(
-        "n, seed", [(200, s) for s in range(6)] + [(1000, s) for s in (0, 1, 2, 3744086969)])
+        "n, seed", [(200, s) for s in range(6)] + [(1000, s) for s in (
+            0, 1, 2, 3744086969,
+            2113620801, 112436981, 2478171357, 3422637158, 786420679)])
     def test_parity_with_superlu_on_burr(self, n, seed):
         A = burr(n, seed)
-        out = direct_stationary(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            out = direct_stationary(A)
         assert np.abs(out.v.values - superlu_stationary(A)).sum() <= 1e-9
         assert out.residual <= 1e-12
 
@@ -324,18 +329,6 @@ class TestSparseDirect:
         out = direct_stationary(A)
         np.testing.assert_array_equal(out.v.values, np.eye(n)[k])
         np.testing.assert_allclose(superlu_stationary(A), out.v.values, atol=1e-15)
-
-    def test_peel_border_row_is_spare(self):
-        # the bordered layout holds the plain core and one zero row, in place
-        A = burr(200, 4)
-        r, rest = np.array([7]), np.delete(np.arange(200), 7)
-        _, _, Q, GC, _, _ = _peel(A.data, r, rest, 1.0)
-        _, _, Q_b, GC_b, _, _ = _peel(A.data, r, rest, 1.0, border=True)
-        q = Q.size
-        np.testing.assert_array_equal(Q_b, Q)
-        assert GC_b.shape == (q + 1, q + 1) and GC_b.flags.f_contiguous
-        assert GC_b[:q].tobytes(order="F") == GC.tobytes(order="F")
-        assert not GC_b[q].any()
 
     def test_periodic_two_cycle(self):
         A = sparse_chain([(1, 0, 1.0), (0, 1, 1.0)], 2)
