@@ -38,8 +38,9 @@ from .errors import (
     SingularElimination,
     ZeroColumn,
 )
+from .spectral import _labelling
 
-#: condition number of (I - A[~S,~S]) beyond which the elimination is rejected
+#: κ₁ of (lam I - A[~S,~S]) above which an elimination is refused, unless classes vouch for it
 SINGULAR_CONDITION = 1e14
 #: default viability margin: a pivot needs diagonal < 1 - delta
 PIVOT_DELTA = 1e-8
@@ -61,10 +62,6 @@ class ReductionRecord:
     lift: np.ndarray
     pivot_order: tuple
     condition_estimate: float
-
-    @property
-    def eliminated(self):
-        return self.S.complement()
 
 
 @dataclass(frozen=True)
@@ -217,23 +214,35 @@ def _peel(data, keep, drop, lam, hold=None):
     return top, levels, Q, GC, f, anorm
 
 
-def _check_condition(cond):
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-        raise SingularElimination(
-            f"condition estimate {cond:.3e} exceeds {SINGULAR_CONDITION:.0e};"
-            " the eliminated set traps an essential class",
-            condition=cond,
-        )
+def _check_condition(cond, chain, keep):
+    """Refuse a block that fails the M-matrix certificate (``cond`` inf), or
+    whose κ₁ exceeds ``SINGULAR_CONDITION`` while an essential class of the
+    stochastic ``chain`` has no vertex in ``keep``; ``reduce_at`` passes no
+    chain, so there the bound alone refuses."""
+    if not np.isfinite(cond):
+        raise SingularElimination("shifted block fails the M-matrix certificate y > 0",
+                                  condition=cond)
+    if cond <= SINGULAR_CONDITION:
+        return
+    why = f"condition estimate {cond:.3e} exceeds {SINGULAR_CONDITION:.0e}"
+    if chain is not None:
+        _, _, root, _, cyclic, leaks = _labelling(chain)
+        cyclic[root[keep]] = False  # classes with a kept vertex
+        trapped = np.flatnonzero(cyclic & ~leaks)
+        if not trapped.size:
+            return
+        why += f" and the essential class of vertex {trapped[0] + 1} is eliminated whole"
+    raise SingularElimination(why, condition=cond)
 
 
-def _schur(data, keep, drop, lam):
+def _schur(data, keep, drop, lam, chain=None):
     """Raw Schur complement and lift of the shifted eliminated block.
 
     Returns ``(R_raw, lift, cond)`` as dense arrays for either storage.
     ``lam I - B``, ``B = data[~S,~S]``, must be a nonsingular M-matrix, as it
     is for a stochastic matrix at ``lam = 1`` and a non-negative one at its
-    dominant eigenvalue; a numerically singular block raises
-    :class:`SingularElimination`.
+    dominant eigenvalue; :func:`_check_condition` judges it, by the classes
+    of ``chain`` if given.
 
     Dense input goes straight to the core, ``Q = ~S``.  Sparse input peels
     first, since reductions compose: while the still-eliminated block is
@@ -283,7 +292,7 @@ def _schur(data, keep, drop, lam):
         y[P] = (f_P + np.bincount(c_in, v_in * y[r_in], minlength=P.size)) / piv_P
     # y > 0 certifies the M-matrix; a singular block, or one outside the contract, gets inf
     cond = anorm * y.max() if anorm and y.min() > 0 else np.inf
-    _check_condition(cond)
+    _check_condition(cond, chain, keep)
 
     X = np.zeros((d + s, s))
     X[d:] = np.eye(s)
@@ -304,7 +313,8 @@ def reduce_at(M, S, lam=1.0):
     reductions of non-negative matrices at their dominant eigenvalue, where
     ``lam I - M[~S,~S]`` is a nonsingular M-matrix, as :func:`_schur`
     requires for either storage.  A numerically singular block, or a shift
-    below the block's spectral radius, raises :class:`SingularElimination`.
+    below the block's spectral radius, or a κ₁ above ``SINGULAR_CONDITION``
+    raises :class:`SingularElimination`.
     """
     data = M.data if isinstance(M, NonNegativeMatrix) else np.asarray(M, dtype=np.float64)
     S = _kept_set(S, data.shape[0])
@@ -341,8 +351,10 @@ def _finish_stochastic(S, R_raw, lift, pivot_order, cond):
 def reduce_block(A, S):
     """One-shot isospectral reduction of a stochastic matrix over ``S``.
 
-    Raises :class:`SingularElimination` when ``I - A[~S,~S]`` is numerically
-    singular, i.e. when the eliminated vertices contain an essential class.
+    Raises :class:`SingularElimination` when ``I - A[~S,~S]`` fails the
+    M-matrix certificate, or when its κ₁ exceeds ``SINGULAR_CONDITION`` and
+    ``S`` misses an essential class (it is singular exactly then); any other
+    κ₁ is reported, not refused.
     """
     A = validate_stochastic(A)
     S = _kept_set(S, A.n)
@@ -355,7 +367,7 @@ def reduce_block(A, S):
             condition_estimate=1.0,
         )
     drop = S.complement().array
-    R_raw, lift, cond = _schur(A.data, S.array, drop, 1.0)
+    R_raw, lift, cond = _schur(A.data, S.array, drop, 1.0, A)
     return _finish_stochastic(S, R_raw, lift, tuple(drop.tolist()), cond)
 
 
@@ -487,19 +499,24 @@ def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
 
 
 def select_subset(A, strategy):
-    """Choose the kept vertex set according to a selection strategy."""
+    """Choose the kept vertex set according to a selection strategy.
+
+    ``FirstS`` and ``RandomS`` also keep every vertex with diagonal ``>= 1``
+    (pivot ``1 - a_jj <= 0``: no reduction can eliminate it), beyond ``s``.
+    """
     A = validate_stochastic(A)
     n = A.n
     if not isinstance(strategy, SelectionStrategy):
         raise TypeError(f"unknown selection strategy: {strategy!r}")
     if not 1 <= strategy.s <= n:
         raise DimensionMismatch(f"kept size {strategy.s} outside [1, {n}]")
+    if isinstance(strategy, PivotGreedy):
+        return _greedy_selection(A, strategy.s, strategy.delta)
     if isinstance(strategy, FirstS):
-        return IndexSet(range(strategy.s), n)
-    if isinstance(strategy, RandomS):
-        rng = np.random.default_rng(strategy.seed)
-        return IndexSet(rng.choice(n, size=strategy.s, replace=False), n)
-    return _greedy_selection(A, strategy.s, strategy.delta)
+        drawn = np.arange(strategy.s)
+    else:
+        drawn = np.random.default_rng(strategy.seed).choice(n, size=strategy.s, replace=False)
+    return IndexSet(np.concatenate((drawn, np.flatnonzero(A.data.diagonal() >= 1.0))), n)
 
 
 def _greedy_selection(A, s, delta):

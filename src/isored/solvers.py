@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lapack
 
 from .core import ProbabilityVector, residual, validate_stochastic
-from .errors import NoConvergence, SingularElimination, SingularSystem
+from .errors import NoConvergence, SingularSystem
 from .reduction import (
     RandomS,
     ReductionRecord,
@@ -43,9 +43,9 @@ from .reduction import (
 )
 from .spectral import _labelling
 
-#: read by no solver: the scheme solves the reduced chain directly at every size
+#: read by no solver; importable only because perfbench imports it
 DIRECT_SIZE_LIMIT = 2000
-#: kept-set draws of the scheme before a singular elimination is re-raised
+#: read by no solver (the scheme draws once); importable only because perfbench imports it
 MAX_REDUCTION_ATTEMPTS = 5
 #: an LU whose reciprocal condition estimate falls below this warns
 _EPS = np.finfo(np.float64).eps
@@ -58,8 +58,7 @@ class SolverConfig:
     seed: int = 0
     s: int | None = None            # kept-set size; defaults to n // 10
     strategy: object | None = None  # SelectionStrategy; defaults to RandomS(s, seed)
-    regap_threshold: float = 0.999  # has no effect
-    max_rereductions: int = 2       # has no effect
+    max_rereductions: int = 2       # has no effect; kept because perfbench passes it
     inner: str = "direct"           # "direct" solves R directly; "pf" iterates
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class SolverConfig:
             raise ValueError("p must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.regap_threshold < 1.0:
-            raise ValueError("regap_threshold must lie in (0, 1)")
         if self.inner not in ("direct", "pf"):
             raise ValueError(f"inner must be 'direct' or 'pf', got {self.inner!r}")
 
@@ -257,35 +254,20 @@ def estimate_inner_radius(A, v_star, seed=0, max_iters=400, window=60, rtol=0.05
 
 
 def isospectral_stationary(A, cfg=SolverConfig()):
-    """Reduce, solve the reduced system, reconstruct.
+    """Reduce, solve the reduced system, reconstruct: one pass.
 
-    The kept set comes from ``cfg.strategy`` (default: uniform random of size
-    ``cfg.s``).  A singular elimination is retried with a fresh random set up
-    to ``MAX_REDUCTION_ATTEMPTS`` draws in all.  The reduced chain is solved
-    by :func:`direct_stationary` at every size, or iterated on by
+    One kept set comes from ``cfg.strategy`` (default: uniform random of size
+    ``cfg.s``), and a refusal of :func:`reduce_block` over it is raised, not
+    redrawn.  The reduced chain is solved by
+    :func:`direct_stationary` at every size, or iterated on by
     :func:`perron_frobenius` (``cfg.inner == "pf"``); either refuses it, as
     it would ``A``, when it has more than one essential class.
     """
     A = validate_stochastic(A)
     start = time.perf_counter()
-    n = A.n
-    s = cfg.s if cfg.s is not None else max(1, n // 10)
+    s = cfg.s if cfg.s is not None else max(1, A.n // 10)
     strategy = cfg.strategy if cfg.strategy is not None else RandomS(s, cfg.seed)
-
-    flags = []
-    attempt = 0
-    while True:
-        try:
-            S = select_subset(A, strategy)
-            rec = reduce_block(A, S)
-            break
-        except SingularElimination:
-            attempt += 1
-            if attempt >= MAX_REDUCTION_ATTEMPTS:
-                raise
-            flags.append("reduction_retry")
-            strategy = RandomS(getattr(strategy, "s", s), cfg.seed + 1000 + attempt)
-
+    rec = reduce_block(A, select_subset(A, strategy))
     inner = perron_frobenius(rec.R, cfg) if cfg.inner == "pf" else direct_stationary(rec.R)
     v = reconstruct_stationary(rec, inner.v)
     return SolveOutcome(
@@ -295,7 +277,7 @@ def isospectral_stationary(A, cfg=SolverConfig()):
         wall_time=time.perf_counter() - start,
         method="iso",
         reduction=rec,
-        flags=tuple(flags) + inner.flags,
+        flags=inner.flags,
     )
 
 

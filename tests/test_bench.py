@@ -58,11 +58,12 @@ class TestRunComparison:
                 assert (a == b) or (math.isnan(a) and math.isnan(b))
 
     def test_failure_rows_flagged_not_dropped(self):
-        # one nonzero per column: instance 0 is reducible, so the direct solve
-        # and the scheme's elimination refuse it; the row survives with NaNs
+        # one nonzero per column: instance 0 has two essential classes, so the
+        # direct solve and the scheme's solve of R refuse it (vertex 0 is
+        # absorbing and kept, so both classes reach R); the row survives with NaNs
         direct = run_trial(RunConfig(trials=1, n=6, nnz=1, alpha=0.3, s=2, seed=1), 0)
         assert direct.flags == ("baseline_failed:SingularSystem",
-                                "scheme_failed:SingularElimination")
+                                "scheme_failed:SingularSystem")
         assert not direct.ok
         for x in (direct.e1, direct.e2, direct.d, direct.rho_r, direct.e_direct):
             assert math.isnan(x)
@@ -72,7 +73,7 @@ class TestRunComparison:
         pf = run_trial(RunConfig(trials=1, n=6, nnz=1, alpha=0.3, s=2, seed=1,
                                  baseline="pf"), 0)
         assert pf.flags == ("baseline_failed:SingularSystem",
-                            "scheme_failed:SingularElimination", "direct_failed:SingularSystem")
+                            "scheme_failed:SingularSystem", "direct_failed:SingularSystem")
         assert not pf.ok
         for x in (pf.e1, pf.e2, pf.d, pf.rho_r, pf.e_direct):
             assert math.isnan(x)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -35,7 +36,8 @@ from isored.reduction import (
     select_subset,
 )
 from isored.reduction import _finish_stochastic, _independent_set
-from isored.spectral import diameter_tau, min_entry
+from isored.solvers import SolverConfig, direct_stationary, isospectral_stationary
+from isored.spectral import classify, diameter_tau, min_entry
 
 from conftest import averaging, rand_stochastic, rand_subset
 
@@ -336,14 +338,45 @@ class TestStagedElimination:
         assert info.value.condition == np.inf
 
     def test_trapped_class_rejected(self):
-        # seed 202, instance 29 of the paper's Burr set: the kept set leaves
-        # an essential class eliminated; the exact solve gives a huge
-        # negative y there, which no M-matrix has
+        # seed 202, instance 29 of the paper's Burr set: vertex 352 has
+        # diagonal 1.0 in floating point, and the raw draw of 90 misses it;
+        # its pivot 1 - a_jj is 0, so the certificate y > 0 fails
         A, gen_seed = _burr(1000, 4, 202, 29)
+        assert A.data.diagonal()[352] == 1.0
+        drawn = np.random.default_rng(gen_seed + 1).choice(1000, 90, replace=False)
+        assert 352 not in drawn
+        with pytest.raises(SingularElimination, match="certificate") as info:
+            reduce_block(A, IndexSet(drawn, 1000))
+        assert info.value.condition == np.inf
+        # select_subset keeps the vertex, and the reduction then succeeds
         S = select_subset(A, RandomS(90, gen_seed + 1))
-        with pytest.raises(SingularElimination) as info:
-            reduce_block(A, S)
-        assert info.value.condition > SINGULAR_CONDITION
+        assert S.indices == tuple(sorted(drawn.tolist() + [352]))
+        rec = reduce_block(A, S)
+        v = reconstruct_stationary(rec, direct_stationary(rec.R).v).values
+        assert np.abs(v - direct_stationary(A).v.values).sum() <= 1e-12
+        iso = isospectral_stationary(A, SolverConfig(strategy=RandomS(90, gen_seed + 1)))
+        assert np.array_equal(iso.v.values, v)
+
+    def test_refusal_names_its_rule(self):
+        # a refused draw fails the certificate, or leaves a whole essential
+        # class eliminated at a kappa_1 above the bound; the message says which
+        rules = {"certificate": 0, "class": 0}
+        for A, S in _dense_cases():
+            try:
+                reduce_block(A, S)
+            except SingularElimination as exc:
+                if "certificate" in str(exc):
+                    assert exc.condition == np.inf
+                    rules["certificate"] += 1
+                    continue
+                vertex = int(re.search(r"essential class of vertex (\d+)", str(exc))[1]) - 1
+                assert exc.condition > SINGULAR_CONDITION
+                dec = classify(A)
+                (members,) = [c for c in dec.classes if vertex in c]
+                assert dec.essential_flags[dec.classes.index(members)]
+                assert not set(members) & set(S.indices)
+                rules["class"] += 1
+        assert rules["certificate"] >= 40 and rules["class"] >= 15
 
     def test_independent_set_matches_greedy_loop(self):
         count = 0

@@ -16,7 +16,7 @@ from isored.randgen import (
     gen_sparse_stochastic,
     make_banded,
 )
-from isored.reduction import FirstS, RandomS
+from isored.reduction import SINGULAR_CONDITION, FirstS, RandomS, select_subset
 from isored.solvers import (
     DIRECT_SIZE_LIMIT,
     SolverConfig,
@@ -444,15 +444,26 @@ class TestIsospectral:
         ref = direct_stationary(A)
         assert np.abs(iso.v.values - ref.v.values).sum() <= 1e-5
 
-    def test_singular_elimination_retries_then_raises(self):
-        # two essential blocks: half the vertices always trap a class, and
-        # with s = 2 every kept set leaves one block entirely eliminated
+    def test_singular_elimination_raises_without_redraw(self):
+        # two essential blocks: with s = 1 every kept set leaves one block
+        # entirely eliminated, and the one draw is refused as it is
         A = np.zeros((4, 4))
         A[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
         A[2:, 2:] = [[0.3, 0.7], [0.7, 0.3]]
         M = StochasticMatrix(A)
-        with pytest.raises((SingularElimination, SingularSystem)):
+        with pytest.raises(SingularElimination):
             isospectral_stationary(M, SolverConfig(seed=0, s=1))
+
+    @pytest.mark.parametrize("seed, k", [(5, 24), (22, 11), (65, 15)])
+    def test_condition_above_bound_reported_not_refused(self, seed, k):
+        # near-trapped paper instances: the first draw's kappa_1 exceeds the
+        # bound, but every essential class has a kept vertex
+        A, cfg = _trial_inputs(RunConfig(seed=seed), k)
+        out = isospectral_stationary(A, cfg)
+        assert out.reduction.condition_estimate > SINGULAR_CONDITION
+        assert out.reduction.S == select_subset(A, cfg.strategy)
+        assert out.flags == ()
+        assert np.abs(out.v.values - direct_stationary(A).v.values).sum() <= 1e-12
 
     def test_two_burr_blocks_refused(self):
         # R keeps both closed classes, and its dense solve used to return a
