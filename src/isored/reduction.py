@@ -95,19 +95,16 @@ def _independent_set(core, rows, cols):
     """Greedy maximal independent set of an off-diagonal pattern on ``core``.
 
     ``rows``/``cols`` list the off-diagonal entries among core vertices.
-    Vertices are ranked by ascending degree (entries in their row and
-    column), ties by index, and the set is the one a greedy pass in rank
-    order takes.  It is built in rounds: a free vertex with no free
-    lower-ranked neighbour joins, and its neighbours leave.  Returns the
-    vertices in ascending order.
+    Vertices are ordered by the key ``degree * n + index``: ascending degree
+    (entries in their row and column), ties by index.  The set is the one a
+    greedy pass in key order takes.  It is built in rounds: a free vertex
+    with no free lower-keyed neighbour joins, and its neighbours leave.
+    Returns the vertices in ascending order.
     """
     n = core.size
-    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
-    cand = np.flatnonzero(core)
-    rank = np.empty(n, dtype=np.intp)
-    rank[cand[np.argsort(degree[cand], kind="stable")]] = np.arange(cand.size)
-    # each edge as (hi, lo): hi ranks after lo and cannot join while lo is free
-    first = rank[cols] < rank[rows]
+    key = (np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)) * n + np.arange(n)
+    # each edge as (hi, lo): hi comes after lo and cannot join while lo is free
+    first = key[cols] < key[rows]
     hi = np.where(first, rows, cols)
     lo = np.where(first, cols, rows)
     free, taken = core.copy(), np.zeros(n, dtype=bool)
@@ -127,12 +124,16 @@ def _peel(data, keep, drop, lam, hold=None):
 
     The sparse half of :func:`_schur`, and with ``keep`` empty the whole of
     the sparse direct solve.  Works in local numbering (eliminated vertices
-    ``0..d-1``, then kept ones) on the entries of the eliminated rows.  Fill
-    is appended, not merged: a position may repeat, its entries add up, and
-    the density test counts stored entries.  A vertex whose pivot ``lam -
-    m_jj`` is not positive is never peeled, nor is one of ``hold`` (vertices
-    of ``drop``); both stay in the core.  Returns ``(top, levels, Q, GC, f,
-    anorm)`` with ``GC = [lam I - M[Q,Q] | M[Q,S]]`` in Fortran order.
+    ``0..d-1``, then kept ones) on a diagonal vector and the off-diagonal
+    entries of the eliminated rows.  Fill is appended, not merged: entries
+    add up, diagonal ones in entry order, and the density test counts all
+    stored entries.  A vertex whose pivot ``lam - m_jj`` is not positive is
+    never peeled, nor is one of ``hold`` (vertices of ``drop``); both stay
+    in the core.  Returns ``(top, levels, Q, GC, f, anorm)``: a level is
+    ``(P, piv, W, M[T,P])``, each matrix as ``(rows, cols, vals)`` with P
+    numbered within P and ``W = diag(1/piv) M[P,T]`` in row order; ``GC =
+    [lam I - M[Q,Q] | M[Q,S]]`` in Fortran order; ``top = A[S,:]``, ``f``
+    and ``anorm`` are None when ``keep`` is empty.
     """
     n, d, s = data.shape[0], drop.size, keep.size
     loc = np.empty(n, dtype=np.intp)
@@ -140,20 +141,25 @@ def _peel(data, keep, drop, lam, hold=None):
     loc[keep] = d + np.arange(s)
     A = data.tocsc()
     rows, cols, vals = loc[A.indices], np.repeat(loc, np.diff(A.indptr)), A.data
-    mine = rows < d
-    t = np.flatnonzero(~mine)
-    t = t[np.argsort(rows[t], kind="stable")]
-    top = _csr((s, n), rows[t] - d, cols[t], vals[t])  # A[S,:]
-    rows, cols, vals = rows[mine], cols[mine], vals[mine]
-
-    off = rows != cols
-    diag = np.bincount(rows[~off], vals[~off], minlength=d)
-    block = off & (cols < d)
-    anorm = (np.bincount(cols[block], vals[block], minlength=d) + np.abs(lam - diag)).max()
+    top = f = anorm = None
+    if s:
+        mine = rows < d
+        t = np.flatnonzero(~mine)
+        t = t[np.argsort(rows[t], kind="stable")]
+        top = _csr((s, n), rows[t] - d, cols[t], vals[t])  # A[S,:]
+        rows, cols, vals = rows[mine], cols[mine], vals[mine]
+    on = rows == cols
+    # no diagonal entries: bincount gives int zeros, and np.add.at needs floats
+    diag = np.bincount(rows[on], vals[on], minlength=d).astype(np.float64, copy=False)
+    ndiag = np.bincount(rows[on], minlength=d)  # stored diagonal entries per core vertex
+    rows, cols, vals = rows[~on], cols[~on], vals[~on]
 
     core = np.zeros(n, dtype=bool)
     core[:d] = True
-    f = core.astype(np.float64)  # right-hand side of (lam I - B)^T y = 1, folded forward
+    if s:
+        f = core.astype(np.float64)  # right-hand side of (lam I - B)^T y = 1, folded forward
+        block = cols < d
+        anorm = (np.bincount(cols[block], vals[block], minlength=d) + np.abs(lam - diag)).max()
     slot = np.empty(n, dtype=np.intp)
     levels = []
     q = d
@@ -162,10 +168,10 @@ def _peel(data, keep, drop, lam, hold=None):
         held[loc[hold]] = True
     while True:
         within = cols < d  # every row left is a core row
-        if q == 0 or np.count_nonzero(within) >= SPARSE_DENSITY_THRESHOLD * q * q:
+        if q == 0 or np.count_nonzero(within) + ndiag.sum() >= SPARSE_DENSITY_THRESHOLD * q * q:
             break
         free = core & ~held
-        within &= off & free[rows] & free[cols]
+        within &= free[rows] & free[cols]
         P = _independent_set(free, rows[within], cols[within])
         piv = lam - diag[P]
         if not np.all(piv > 0):
@@ -178,29 +184,31 @@ def _peel(data, keep, drop, lam, hold=None):
             break
         peel = np.zeros(n, dtype=bool)
         peel[P] = True
-        core[P] = False
+        core[P], ndiag[P] = False, 0
         q -= P.size
         slot[P] = np.arange(P.size)
-        out = np.flatnonzero(peel[rows] & off)
-        out = out[np.argsort(slot[rows[out]], kind="stable")]
+        from_P, into_P = peel[rows], peel[cols]
+        out = np.flatnonzero(from_P)
+        out = out[np.argsort(rows[out], kind="stable")]  # P ascends: row order is slot order
         r_out, c_out = slot[rows[out]], cols[out]
         w = vals[out] / piv[r_out]
-        W = _csr((P.size, n), r_out, c_out, w)  # diag(1/piv) M[P,T]
-        into = peel[cols] & off
-        r_in, c_in, v_in = rows[into], slot[cols[into]], vals[into]  # M[T,P]
-        f_P = f[P]
-        f += np.bincount(c_out, w * f_P[r_out], minlength=n)
-        levels.append((P, piv, W, (r_in, c_in, v_in), f_P))
+        i = np.flatnonzero(into_P)  # index arrays: a mask of middling density indexes slowly
+        r_in, c_in, v_in = rows[i], slot[cols[i]], vals[i]  # M[T,P]
+        if s:
+            f += np.bincount(c_out, w * f[P][r_out], minlength=n)
+        levels.append((P, piv, (r_out, c_out, w), (r_in, c_in, v_in)))
         # fill M[T,P] W: each entry of M[T,P] times the W row of its pivot
-        ptr = W.indptr
+        ptr = np.searchsorted(r_out, np.arange(P.size + 1))
         cnt = ptr[c_in + 1] - ptr[c_in]
         take = np.arange(cnt.sum()) + np.repeat(ptr[c_in] - (np.cumsum(cnt) - cnt), cnt)
-        rest = ~(peel[rows] | peel[cols])
-        rows = np.concatenate((rows[rest], np.repeat(r_in, cnt)))
-        cols = np.concatenate((cols[rest], c_out[take]))
-        vals = np.concatenate((vals[rest], np.repeat(v_in, cnt) * w[take]))
-        off = rows != cols
-        diag = np.bincount(rows[~off], vals[~off], minlength=d)
+        r_f, c_f, v_f = np.repeat(r_in, cnt), c_out[take], np.repeat(v_in, cnt) * w[take]
+        on = r_f == c_f
+        np.add.at(diag, r_f[on], v_f[on])  # in entry order, as a sum over the entries would
+        ndiag += np.bincount(r_f[on], minlength=d)
+        i, on = np.flatnonzero(~(from_P | into_P)), ~on
+        rows = np.concatenate((rows[i], r_f[on]))
+        cols = np.concatenate((cols[i], c_f[on]))
+        vals = np.concatenate((vals[i], v_f[on]))
 
     Q = np.flatnonzero(core)
     at = np.empty(n, dtype=np.intp)
@@ -210,7 +218,7 @@ def _peel(data, keep, drop, lam, hold=None):
     signed = np.where(c_at < q, -vals, vals)  # repeated positions add up in bincount
     GC = np.bincount(c_at * q + at[rows], signed, minlength=q * (q + s))
     GC = GC.astype(np.float64, copy=False).reshape(q + s, q).T  # no entries: int zeros
-    GC.T.reshape(-1)[: q * q : q + 1] += lam
+    GC.T.reshape(-1)[: q * q : q + 1] = lam - diag[Q]
     return top, levels, Q, GC, f, anorm
 
 
@@ -288,8 +296,9 @@ def _schur(data, keep, drop, lam, chain=None):
         GC, piv, _ = lapack.dgetrf(GC, overwrite_a=True)
         LU = GC[:, :q]
         y[Q], _ = lapack.dgetrs(LU, piv, f[Q], trans=1, overwrite_b=True)
-    for P, piv_P, _, (r_in, c_in, v_in), f_P in reversed(levels):
-        y[P] = (f_P + np.bincount(c_in, v_in * y[r_in], minlength=P.size)) / piv_P
+    for P, piv_P, _, (r_in, c_in, v_in) in reversed(levels):
+        # f[P] is final once P is peeled: no later entry has a column in P
+        y[P] = (f[P] + np.bincount(c_in, v_in * y[r_in], minlength=P.size)) / piv_P
     # y > 0 certifies the M-matrix; a singular block, or one outside the contract, gets inf
     cond = anorm * y.max() if anorm and y.min() > 0 else np.inf
     _check_condition(cond, chain, keep)
@@ -298,8 +307,8 @@ def _schur(data, keep, drop, lam, chain=None):
     X[d:] = np.eye(s)
     if q:
         X[Q], _ = lapack.dtrtrs(LU, GC[:, q:], overwrite_b=True)  # a zero pivot leaves inf
-    for P, _, W, _, _ in reversed(levels):
-        X[P] = W @ X
+    for P, _, (r_out, c_out, w), _ in reversed(levels):
+        X[P] = _csr((P.size, d + s), r_out, c_out, w) @ X
     lift = X[:d]
     if not np.isfinite(lift).all():
         raise SingularElimination("shifted block solve produced non-finite values", condition=cond)

@@ -141,12 +141,17 @@ def _lu_solve(M, rhs):
 
 
 def _essential_root(A):
-    """The largest vertex of the one essential class of ``A``, else
+    """A vertex of the one essential class of ``A``, else
     :class:`SingularSystem`: the stationary measure is unique exactly then.
-    A dense chain with no zero entry is one class; any other chain's
-    classes are counted on one strong-components labelling."""
-    if not A.is_sparse and A.data.min() > 0:
-        return A.n - 1
+    A dense chain with no zero entry, or with a strictly positive row, has
+    one (every vertex steps to that row's vertex, so every closed class holds
+    it); no dense route reads the vertex.  Any other chain's classes are
+    counted on one strong-components labelling, and the class's largest
+    vertex is returned, which the sparse direct solve holds out of its peel."""
+    if not A.is_sparse:
+        positive = [A.n - 1] if A.data.min() > 0 else np.flatnonzero((A.data > 0).all(axis=1))
+        if len(positive):
+            return positive[-1]
     _, _, root, _, cyclic, leaks = _labelling(A)
     essential = np.flatnonzero(cyclic & ~leaks)
     if essential.size != 1:
@@ -168,7 +173,8 @@ def direct_stationary(A):
     so the peel needs no pivoting.  What is left is the core system ``G = I
     - C``, ``C`` the stochastic complement of ``A`` on the core, which keeps
     the one essential class; it is solved the same way, and the rest of
-    ``v`` is folded back level by level.  Either way a reciprocal condition
+    ``v`` is folded back level by level, ``v[P] = W v`` as one ``bincount``
+    over the entries of the level's ``W``.  Either way a reciprocal condition
     estimate below machine epsilon warns with ``LinAlgWarning``, and the
     clipped, normalized vector must leave a residual of at most 1e-6.
     """
@@ -189,8 +195,8 @@ def direct_stationary(A):
     if levels:  # v holds the core Q; the peeled vertices fold back
         v, v_Q = np.zeros(n), v
         v[Q] = v_Q
-        for P, _, W, _, _ in reversed(levels):
-            v[P] = W @ v
+        for P, _, (r_out, c_out, w), _ in reversed(levels):
+            v[P] = np.bincount(r_out, w * v[c_out], minlength=P.size)  # W @ v, row by row
     # the ill-conditioning warning of scipy.linalg.solve
     if rcond < _EPS:
         warnings.warn(f"ill-conditioned fixed-point system (rcond={rcond:.3e})",

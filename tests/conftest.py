@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from isored.core import IndexSet, StochasticMatrix
 
@@ -125,3 +126,15 @@ def rand_rational_stochastic_graph(rng, n):
     for j in range(n):
         assert sum(M[i][j] for i in range(n)) == 1
     return M, IndexSet(kept, n)
+
+
+def banded_csc(n, m, seed):
+    """``make_banded(n, m, seed)`` built in CSC form, without the n x n array:
+    the same draws in the same row-major order over the band."""
+    rows = np.repeat(np.arange(n), 2 * m - 1)
+    cols = rows + np.tile(np.arange(1 - m, m), n)
+    ok = (cols >= 0) & (cols < n)
+    rows, cols = rows[ok], cols[ok]
+    vals = np.random.default_rng(seed).uniform(0.2, 1.0, size=rows.size)
+    vals /= np.bincount(cols, vals)[cols]
+    return StochasticMatrix(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)))

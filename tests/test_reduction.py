@@ -35,11 +35,12 @@ from isored.reduction import (
     reduce_sequential,
     select_subset,
 )
-from isored.reduction import _finish_stochastic, _independent_set
-from isored.solvers import SolverConfig, direct_stationary, isospectral_stationary
+from isored.core import SPARSE_DENSITY_THRESHOLD
+from isored.reduction import _csr, _finish_stochastic, _independent_set, _peel
+from isored.solvers import SolverConfig, _essential_root, direct_stationary, isospectral_stationary
 from isored.spectral import classify, diameter_tau, min_entry
 
-from conftest import averaging, rand_stochastic, rand_subset
+from conftest import averaging, banded_csc, rand_stochastic, rand_subset
 
 
 def raw_schur(A, S):
@@ -385,6 +386,156 @@ class TestStagedElimination:
             assert P.tolist() == _reference_independent_set(core, rows, cols)
             count += 1
         assert count >= 200
+
+
+def former_independent_set(core, rows, cols):
+    """``reduction._independent_set`` as it ranked vertices by an argsort,
+    kept as a reference for :func:`former_peel`."""
+    n = core.size
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    cand = np.flatnonzero(core)
+    rank = np.empty(n, dtype=np.intp)
+    rank[cand[np.argsort(degree[cand], kind="stable")]] = np.arange(cand.size)
+    first = rank[cols] < rank[rows]
+    hi = np.where(first, rows, cols)
+    lo = np.where(first, cols, rows)
+    free, taken = core.copy(), np.zeros(n, dtype=bool)
+    while hi.size:
+        join = free.copy()
+        join[hi] = False
+        taken |= join
+        free &= ~join
+        free[hi[join[lo]]] = False
+        live = free[hi] & free[lo]
+        hi, lo = hi[live], lo[live]
+    return np.flatnonzero(taken | free)
+
+
+def former_peel(data, keep, drop, lam, hold=None):
+    """``reduction._peel`` as it carried the diagonal among the entries and
+    summed it anew at every level, kept as a reference.  Its levels are
+    ``(P, piv, W, (r_in, c_in, v_in), f_P)`` with ``W`` a CSR matrix, and it
+    always builds ``top``, ``f`` and ``anorm``."""
+    n, d, s = data.shape[0], drop.size, keep.size
+    loc = np.empty(n, dtype=np.intp)
+    loc[drop] = np.arange(d)
+    loc[keep] = d + np.arange(s)
+    A = data.tocsc()
+    rows, cols, vals = loc[A.indices], np.repeat(loc, np.diff(A.indptr)), A.data
+    mine = rows < d
+    t = np.flatnonzero(~mine)
+    t = t[np.argsort(rows[t], kind="stable")]
+    top = _csr((s, n), rows[t] - d, cols[t], vals[t])
+    rows, cols, vals = rows[mine], cols[mine], vals[mine]
+    off = rows != cols
+    diag = np.bincount(rows[~off], vals[~off], minlength=d)
+    block = off & (cols < d)
+    anorm = (np.bincount(cols[block], vals[block], minlength=d) + np.abs(lam - diag)).max()
+    core = np.zeros(n, dtype=bool)
+    core[:d] = True
+    f = core.astype(np.float64)
+    slot = np.empty(n, dtype=np.intp)
+    levels = []
+    q = d
+    held = np.zeros(n, dtype=bool)
+    if hold is not None:
+        held[loc[hold]] = True
+    while True:
+        within = cols < d
+        if q == 0 or np.count_nonzero(within) >= SPARSE_DENSITY_THRESHOLD * q * q:
+            break
+        free = core & ~held
+        within &= off & free[rows] & free[cols]
+        P = former_independent_set(free, rows[within], cols[within])
+        piv = lam - diag[P]
+        if not np.all(piv > 0):
+            ok = piv > 0
+            held[P[~ok]] = True
+            P, piv = P[ok], piv[ok]
+        if not P.size:
+            break
+        peel = np.zeros(n, dtype=bool)
+        peel[P] = True
+        core[P] = False
+        q -= P.size
+        slot[P] = np.arange(P.size)
+        out = np.flatnonzero(peel[rows] & off)
+        out = out[np.argsort(slot[rows[out]], kind="stable")]
+        r_out, c_out = slot[rows[out]], cols[out]
+        w = vals[out] / piv[r_out]
+        W = _csr((P.size, n), r_out, c_out, w)
+        into = peel[cols] & off
+        r_in, c_in, v_in = rows[into], slot[cols[into]], vals[into]
+        f_P = f[P]
+        f += np.bincount(c_out, w * f_P[r_out], minlength=n)
+        levels.append((P, piv, W, (r_in, c_in, v_in), f_P))
+        ptr = W.indptr
+        cnt = ptr[c_in + 1] - ptr[c_in]
+        take = np.arange(cnt.sum()) + np.repeat(ptr[c_in] - (np.cumsum(cnt) - cnt), cnt)
+        rest = ~(peel[rows] | peel[cols])
+        rows = np.concatenate((rows[rest], np.repeat(r_in, cnt)))
+        cols = np.concatenate((cols[rest], c_out[take]))
+        vals = np.concatenate((vals[rest], np.repeat(v_in, cnt) * w[take]))
+        off = rows != cols
+        diag = np.bincount(rows[~off], vals[~off], minlength=d)
+    Q = np.flatnonzero(core)
+    at = np.empty(n, dtype=np.intp)
+    at[Q] = np.arange(q)
+    at[d:] = q + np.arange(s)
+    c_at = at[cols]
+    signed = np.where(c_at < q, -vals, vals)
+    GC = np.bincount(c_at * q + at[rows], signed, minlength=q * (q + s))
+    GC = GC.astype(np.float64, copy=False).reshape(q + s, q).T
+    GC.T.reshape(-1)[: q * q : q + 1] += lam
+    return top, levels, Q, GC, f, anorm
+
+
+def _peel_cases():
+    """``(A, S, held)``, with ``S`` None for the direct solve's call and
+    ``held`` a vertex its core must keep: burr-paper seed 1 chains 0-3,
+    202/29 (vertex 352 has pivot exactly 0), and two banded chains, the
+    second of which moves if the diagonal sum is reordered."""
+    for k in range(4):
+        A, gen_seed = _burr(1000, 4, 1, k)
+        yield A, select_subset(A, RandomS(90, gen_seed + 1)), None
+        yield A, None, None
+    yield _burr(1000, 4, 202, 29)[0], None, 352
+    for n, m in ((3000, 5), (5000, 2)):
+        A = banded_csc(n, m, 1)
+        yield A, select_subset(A, RandomS(n // 10, 1)), None
+        yield A, None, None
+
+
+class TestPeelParity:
+    """``_peel`` against its former form, bit for bit."""
+
+    def test_bitwise_against_former_peel(self):
+        for A, S, held in _peel_cases():
+            if S is None:
+                keep, drop, hold = np.empty(0, np.intp), np.arange(A.n), [_essential_root(A)]
+            else:
+                keep, drop, hold = S.array, S.complement().array, None
+            top, levels, Q, GC, f, anorm = _peel(A.data, keep, drop, 1.0, hold)
+            top0, levels0, Q0, GC0, f0, anorm0 = former_peel(A.data, keep, drop, 1.0, hold)
+            assert len(levels) == len(levels0) > 0
+            for level, (P0, piv0, W0, into0, f_P0) in zip(levels, levels0):
+                P, piv, (r_out, c_out, w), into = level
+                assert np.array_equal(P, P0) and np.array_equal(piv, piv0)
+                assert np.array_equal(r_out, np.repeat(np.arange(P.size), np.diff(W0.indptr)))
+                assert np.array_equal(c_out, W0.indices) and np.array_equal(w, W0.data)
+                assert all(np.array_equal(a, b) for a, b in zip(into, into0))
+                if S is not None:
+                    assert np.array_equal(f[P], f_P0)
+            assert np.array_equal(Q, Q0) and np.array_equal(GC, GC0)
+            assert GC.flags.f_contiguous
+            assert held is None or held in Q
+            if S is None:
+                assert top is None and f is None and anorm is None
+            else:
+                assert np.array_equal(top.indptr, top0.indptr)
+                assert np.array_equal(top.indices, top0.indices)
+                assert np.array_equal(top.data, top0.data)
+                assert np.array_equal(f, f0) and anorm == anorm0
 
 
 class TestEliminateNode:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgWarning, block_diag, lapack
 
+from isored import solvers
 from isored.bench import RunConfig, _trial_inputs
 from isored.core import IndexSet, StochasticMatrix, residual
 from isored.errors import SingularElimination, SingularSystem
@@ -20,14 +21,16 @@ from isored.reduction import SINGULAR_CONDITION, FirstS, RandomS, select_subset
 from isored.solvers import (
     DIRECT_SIZE_LIMIT,
     SolverConfig,
+    _essential_root,
     direct_stationary,
     estimate_inner_radius,
     isospectral_stationary,
     perron_frobenius,
     solve,
 )
+from isored.spectral import _labelling
 
-from conftest import averaging, rand_stochastic
+from conftest import averaging, banded_csc, rand_stochastic
 
 TWO_STATE = StochasticMatrix([[0, 0.9], [1, 0.1]])
 
@@ -123,6 +126,66 @@ class TestDirectStationary:
             for A in (StochasticMatrix(B), StochasticMatrix(sp.csc_matrix(B))):
                 with pytest.raises(SingularSystem, match="2 essential classes"):
                     direct_stationary(A)
+
+
+def _essential_classes(A):
+    """Members of each essential class, from the strong-components labelling."""
+    _, _, root, _, cyclic, leaks = _labelling(A)
+    return [np.flatnonzero(root == c) for c in np.flatnonzero(cyclic & ~leaks)]
+
+
+class TestEssentialRoot:
+    """Uniqueness on dense input: no zero entry, a strictly positive row, or
+    else the labelling."""
+
+    def test_positive_row_needs_no_labelling(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        D = rng.random((7, 7)) * (rng.random((7, 7)) < 0.4)
+        D[5] = rng.random(7) + 0.1  # every vertex steps to vertex 5
+        D[0, 1] = 0.0
+        A = StochasticMatrix(D / D.sum(axis=0))
+        expected = direct_stationary(A).v.values
+
+        def labelling(*_):
+            raise AssertionError("a chain with a positive row was labelled")
+
+        monkeypatch.setattr(solvers, "_labelling", labelling)
+        assert _essential_root(A) == 5
+        assert np.array_equal(direct_stationary(A).v.values, expected)
+        perron_frobenius(A)
+
+    def test_two_closed_blocks_still_refused(self):
+        rng = np.random.default_rng(9)
+        B = block_diag(*(rand_stochastic(rng, k).dense for k in (3, 4)))
+        with pytest.raises(SingularSystem, match="2 essential classes"):
+            _essential_root(StochasticMatrix(B))
+
+    def test_zeros_without_positive_row_fall_back(self):
+        # a transient vertex 0 feeding a closed class 1..3 with zeros: no row is positive
+        D = np.zeros((4, 4))
+        D[1, 0] = 1.0
+        D[1:, 1:] = [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
+        A = StochasticMatrix(D)
+        assert not (D > 0).all(axis=1).any()
+        assert _essential_root(A) == 3  # the class's largest vertex, as before
+        assert _essential_root(StochasticMatrix(sp.csc_matrix(D))) == 3
+
+    def test_agrees_with_labelling(self):
+        rng = np.random.default_rng(11)
+        positive_rows = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            D = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+            D[rng.integers(n), np.flatnonzero(D.sum(axis=0) == 0)] = 1.0
+            A = StochasticMatrix(D / D.sum(axis=0))
+            classes = _essential_classes(A)
+            positive_rows += bool((D > 0).all(axis=1).any())
+            if len(classes) != 1:
+                with pytest.raises(SingularSystem):
+                    _essential_root(A)
+                continue
+            assert _essential_root(A) in classes[0]
+        assert positive_rows >= 40
 
 
 def former_dense_stationary(A):
@@ -231,18 +294,6 @@ def sparse_chain(entries, n):
     """CSC chain from ``(i, j, a_ij)`` triples; zeros stay stored."""
     i, j, a = zip(*entries)
     return StochasticMatrix(sp.csc_matrix((a, (i, j)), shape=(n, n)))
-
-
-def banded_csc(n, m, seed):
-    """``make_banded(n, m, seed)`` built in CSC form, without the n x n array:
-    the same draws in the same row-major order over the band."""
-    rows = np.repeat(np.arange(n), 2 * m - 1)
-    cols = rows + np.tile(np.arange(1 - m, m), n)
-    ok = (cols >= 0) & (cols < n)
-    rows, cols = rows[ok], cols[ok]
-    vals = np.random.default_rng(seed).uniform(0.2, 1.0, size=rows.size)
-    vals /= np.bincount(cols, vals)[cols]
-    return StochasticMatrix(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
 def birth_death_exact(A):
