@@ -60,6 +60,15 @@ def _strategy(kind, s, seed):
     return RandomS(s, seed)
 
 
+def _positive_int(text):
+    """argparse type of a count that must be at least 1: a bad value is a
+    usage error (exit 2), not a traceback from ``SolverConfig``."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_keep(keep, n):
     """``--keep`` accepts a size or a comma-separated 1-based index list."""
     if "," in keep:
@@ -262,8 +271,8 @@ def build_parser():
     p = sub.add_parser("stationary", help="solve A v = v on the simplex")
     _add_matrix_arg(p)
     p.add_argument("--method", choices=["pf", "iso", "direct"], default="iso")
-    p.add_argument("--p", type=int, default=8, help="precision exponent")
-    p.add_argument("--max-iters", type=int, default=10**6)
+    p.add_argument("--p", type=_positive_int, default=8, help="precision exponent")
+    p.add_argument("--max-iters", type=_positive_int, default=10**6)
     p.add_argument("--keep", dest="keep_size", type=int, default=None)
     p.add_argument("--strategy", choices=["first", "random", "greedy"], default="random")
     p.add_argument("--seed", type=int, default=0)
@@ -279,8 +288,8 @@ def build_parser():
     p.add_argument("--trials", type=int, default=36)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--baseline", choices=["direct", "pf"], default="direct")
-    p.add_argument("--p", type=int, default=8)
-    p.add_argument("--max-iters", type=int, default=10**6)
+    p.add_argument("--p", type=_positive_int, default=8)
+    p.add_argument("--max-iters", type=_positive_int, default=10**6)
     p.add_argument("--parallel", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)

@@ -5,8 +5,9 @@ probability mass moved from state ``j`` to state ``i``, so every column of a
 stochastic matrix sums to 1.  Dense matrices are stored as row-major float64
 arrays; sparse ones as CSC.  All values are frozen after construction and can
 be shared freely between threads or worker processes.  The public constructors
-copy their input; the private ``_owned`` ones run the same checks on an array
-the library has just made and freeze it in place.
+admit their input through :func:`_entries` and copy it (a wrapped sparse
+matrix's frozen entries are shared); the private ``_owned`` ones run the same
+checks on an array the library has just made and freeze it in place.
 
 Indices are 0-based everywhere inside the library; the CLI and the file
 formats use 1-based vertex numbers.
@@ -72,7 +73,8 @@ class NonNegativeMatrix:
     """Square matrix with non-negative entries (dense ndarray or CSC)."""
 
     def __init__(self, data):
-        self._admit(_coerce(data))
+        data = _entries(data)  # sparse entries come frozen: a wrapped matrix's, or a fresh copy
+        self._admit(data if sp.issparse(data) else _coerce(data))
 
     @classmethod
     def _owned(cls, arr):
@@ -83,9 +85,7 @@ class NonNegativeMatrix:
         return self
 
     def _admit(self, data):
-        if data.shape[0] != data.shape[1]:
-            raise DimensionMismatch(f"matrix is {data.shape[0]}x{data.shape[1]}, expected square")
-        if data.shape[0] < 1:
+        if _square(data).shape[0] < 1:
             raise DimensionMismatch("matrix must be at least 1x1")
         self._check_nonnegative(data)
         self.data = data
@@ -273,16 +273,32 @@ def _kept_set(S, n):
     return S
 
 
+def _entries(M):
+    """Admit a matrix, the matrix twin of :func:`_kept_set`: a wrapped
+    matrix's ``data``, or a raw list, array or SciPy matrix coerced (dense to
+    a float64 array, sparse to frozen CSC); anything not 2-D is refused."""
+    if isinstance(M, NonNegativeMatrix):
+        return M.data
+    data = _coerce(M) if sp.issparse(M) else np.asarray(M, dtype=np.float64)
+    if data.ndim != 2:
+        raise DimensionMismatch(f"matrix has {data.ndim} dimensions, expected 2")
+    return data
+
+
+def _square(data):
+    """Pass 2-D entries through if they are square, else refuse them."""
+    if data.shape[0] != data.shape[1]:
+        raise DimensionMismatch(f"matrix is {data.shape[0]}x{data.shape[1]}, expected square")
+    return data
+
+
 def validate_stochastic(M):
     """Wrap a non-negative matrix as stochastic, checking column sums.
 
     Accepts a :class:`NonNegativeMatrix`, a raw array, or a sparse matrix.
     Raises :class:`ColumnSumViolation` or :class:`NegativeEntry` on failure.
     """
-    if isinstance(M, StochasticMatrix):
-        return M
-    data = M.data if isinstance(M, NonNegativeMatrix) else M
-    return StochasticMatrix(data)
+    return M if isinstance(M, StochasticMatrix) else StochasticMatrix(M)
 
 
 def project_columns(M):
@@ -291,7 +307,7 @@ def project_columns(M):
     Idempotent on stochastic input.  Raises :class:`ZeroColumn` if a column
     carries no mass.
     """
-    data = M.data if isinstance(M, NonNegativeMatrix) else _coerce(M)
+    data = _entries(M)
     sums = column_sums(data)
     if not np.all(sums > 0):
         raise ZeroColumn(int(np.argmin(sums > 0)))
@@ -306,7 +322,7 @@ def project_columns(M):
 def submatrix(M, rows, cols):
     """Extract the |rows| x |cols| block; kept sets are sorted, so its rows and
     columns come in ascending index order, whatever order the indices are given in."""
-    data = M.data if isinstance(M, NonNegativeMatrix) else M
+    data = _entries(M)
     n, m = data.shape
     rows, cols = _kept_set(rows, n), _kept_set(cols, m)
     if sp.issparse(data):
@@ -324,9 +340,9 @@ def residual(M, v):
     if isinstance(v, ProbabilityVector):
         v = v.values
     v = np.asarray(v, dtype=np.float64)
-    data = M.data if isinstance(M, NonNegativeMatrix) else M
-    if v.shape != (data.shape[1],):
-        raise DimensionMismatch(f"vector length {v.shape[0]} vs matrix {data.shape}")
+    data = _entries(M)
+    if v.ndim != 1 or data.shape != (v.size, v.size):
+        raise DimensionMismatch(f"vector of shape {v.shape} vs matrix {data.shape}")
     r = data @ v
     r -= v
     return math.sqrt(r @ r)  # np.linalg.norm's formula for a real vector

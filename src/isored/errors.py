@@ -49,14 +49,14 @@ class SingularElimination(IsoredError):
         self.condition = condition
 
 
-class AbsorbingPivot(IsoredError):
+class NoViablePivot(IsoredError):
+    pass
+
+
+class AbsorbingPivot(NoViablePivot):
     def __init__(self, k, diagonal):
         super().__init__(f"node {k + 1} has diagonal {diagonal!r}, too close to 1")
         self.k, self.diagonal = k, diagonal
-
-
-class NoViablePivot(IsoredError):
-    pass
 
 
 class SingularSystem(IsoredError):

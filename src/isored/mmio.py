@@ -12,20 +12,16 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .core import NonNegativeMatrix, best_storage
+from .core import _entries, best_storage
 from .errors import DimensionMismatch
 
 
 def write_matrix(path, M):
     """Write a matrix in MatrixMarket format (coordinate if sparse, array if dense)."""
-    data = M.data if isinstance(M, NonNegativeMatrix) else M
+    data = _entries(M)
     if sp.issparse(data):
-        scipy.io.mmwrite(str(path), data.tocoo(), field="real", precision=17, symmetry="general")
-    else:
-        scipy.io.mmwrite(
-            str(path), np.asarray(data, dtype=np.float64),
-            field="real", precision=17, symmetry="general",
-        )
+        data = data.tocoo()
+    scipy.io.mmwrite(str(path), data, field="real", precision=17, symmetry="general")
 
 
 def read_matrix(path):

@@ -182,16 +182,11 @@ def make_near_averaging(n, c, seed=0):
     return project_columns(A)
 
 
-def gen_dense_stochastic(n, seed=0, uniform_mix=0.0):
-    """Dense random column-stochastic matrix: normalized iid exponentials per
-    column, optionally mixed with the averaging matrix to bound the smallest
-    entry away from zero."""
+def gen_dense_stochastic(n, seed=0):
+    """Dense random column-stochastic matrix: normalized iid exponentials per column."""
     rng = np.random.default_rng(seed)
     G = rng.exponential(size=(n, n))
-    A = G / G.sum(axis=0)
-    if uniform_mix:
-        A = (1.0 - uniform_mix) * A + uniform_mix / n
-    return project_columns(A)
+    return project_columns(G / G.sum(axis=0))
 
 
 def gen_doubly_stochastic(n, seed=0, tol=1e-14, max_rounds=10_000):

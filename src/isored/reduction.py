@@ -25,24 +25,19 @@ from scipy.linalg import lapack
 from .core import (
     SPARSE_DENSITY_THRESHOLD,
     IndexSet,
-    NonNegativeMatrix,
     ProbabilityVector,
     StochasticMatrix,
+    _entries,
     _kept_set,
+    _square,
     validate_stochastic,
 )
-from .errors import (
-    AbsorbingPivot,
-    DimensionMismatch,
-    NoViablePivot,
-    SingularElimination,
-    ZeroColumn,
-)
+from .errors import AbsorbingPivot, DimensionMismatch, SingularElimination, ZeroColumn
 from .spectral import _labelling
 
 #: κ₁ of (lam I - A[~S,~S]) above which an elimination is refused, unless classes vouch for it
 SINGULAR_CONDITION = 1e14
-#: default viability margin: a pivot needs diagonal < 1 - delta
+#: the one viability margin of node-by-node elimination: a pivot needs diagonal < 1 - PIVOT_DELTA
 PIVOT_DELTA = 1e-8
 _NEGATIVE_SLACK = 1e-8
 
@@ -78,7 +73,6 @@ class RandomS:
 @dataclass(frozen=True)
 class PivotGreedy:
     s: int
-    delta: float = PIVOT_DELTA
 
 
 SelectionStrategy = FirstS | RandomS | PivotGreedy
@@ -325,7 +319,7 @@ def reduce_at(M, S, lam=1.0):
     below the block's spectral radius, or a κ₁ above ``SINGULAR_CONDITION``
     raises :class:`SingularElimination`.
     """
-    data = M.data if isinstance(M, NonNegativeMatrix) else np.asarray(M, dtype=np.float64)
+    data = _square(_entries(M))
     S = _kept_set(S, data.shape[0])
     if S.is_full():
         return data.toarray() if sp.issparse(data) else np.array(data, copy=True)
@@ -405,10 +399,10 @@ class _Crout:
     def live(self):
         return np.flatnonzero(self.diag < np.inf)
 
-    def eliminate(self, p, delta):
+    def eliminate(self, p):
         """Eliminate vertex ``p``; the one elimination kernel.
 
-        A pivot with diagonal ``>= 1 - delta`` is refused before any
+        A pivot with diagonal ``>= 1 - PIVOT_DELTA`` is refused before any
         division: the call returns False and changes nothing.  Otherwise
         ``p`` dies and step ``k`` stores ``piv = 1 - m_pp``, the lift row
         ``Rw[k] = M[p,:] / piv`` and the column ``C[k] = M[:,p]``, and the
@@ -419,7 +413,7 @@ class _Crout:
         vertices, or the upper triangle in pivot order.
         """
         diag = self.diag
-        if not diag[p] < 1.0 - delta:
+        if not diag[p] < 1.0 - PIVOT_DELTA:
             return False
         k, Rw, C, A0 = self.k, self.Rw, self.C, self.A0
         piv = 1.0 - diag[p]
@@ -440,23 +434,22 @@ class _Crout:
         return self.A0[keep][:, keep] + C.T @ Rw
 
 
-def eliminate_node(A, k, delta=1e-12):
+def eliminate_node(A, k):
     """Remove a single vertex: r[i,j] = a[i,j] + a[i,k] a[k,j] / (1 - a[k,k]).
 
-    One step of :meth:`_Crout.eliminate`; the lift is the pivot row.
+    :func:`reduce_sequential` over every other vertex; the lift is the pivot
+    row.  The one vertex of a 1x1 chain is absorbing.
     """
     A = validate_stochastic(A)
     n, k = A.n, int(k)
     if not 0 <= k < n:
         raise DimensionMismatch(f"node {k} outside [0, {n})")
-    E = _Crout(A.dense, 1)
-    if not E.eliminate(k, delta):
-        raise AbsorbingPivot(k, float(E.diag[k]))
-    rest = E.live
-    return _finish_stochastic(IndexSet(rest, n), E.reduced(rest), E.Rw[:, rest], (k,), 1.0)
+    if n == 1:
+        raise AbsorbingPivot(k, float(A.dense[0, 0]))
+    return reduce_sequential(A, np.delete(np.arange(n), k))
 
 
-def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
+def reduce_sequential(A, S, order=None):
     """Eliminate the complement of ``S`` one node at a time.
 
     ``order`` fixes the elimination sequence (must enumerate the complement);
@@ -464,8 +457,8 @@ def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
     diagonal goes first, ties to the lowest index.  Each step is one call of
     the left-looking kernel :meth:`_Crout.eliminate`, which forms only the
     pivot's row and column; the result matches :func:`reduce_block` up to
-    rounding, whatever the order.  Raises :class:`NoViablePivot` when a pivot
-    has diagonal within ``delta`` of 1.
+    rounding, whatever the order.  Raises :class:`AbsorbingPivot` when a
+    pivot has diagonal within ``PIVOT_DELTA`` of 1.
 
     ``R = A[S,S] + C[:,S]^T Rw[:,S]`` is one product of the stored columns
     and rows.  In pivot order the rows give the unit upper triangular ``I -
@@ -491,8 +484,8 @@ def reduce_sequential(A, S, order=None, delta=PIVOT_DELTA):
     E.diag[keep] = np.inf  # kept vertices never pivot; R does not read the diagonal
     for step in range(drop.size):
         p = int(E.diag.argmin()) if order is None else order[step]
-        if not E.eliminate(p, delta):
-            raise NoViablePivot(f"node {p + 1} has diagonal {E.diag[p]!r}")
+        if not E.eliminate(p):
+            raise AbsorbingPivot(p, float(E.diag[p]))
 
     P = E.pivots
     I_U = -E.Rw[:, P]  # unit upper triangular; the diagonal is implied
@@ -520,7 +513,7 @@ def select_subset(A, strategy):
     if not 1 <= strategy.s <= n:
         raise DimensionMismatch(f"kept size {strategy.s} outside [1, {n}]")
     if isinstance(strategy, PivotGreedy):
-        return _greedy_selection(A, strategy.s, strategy.delta)
+        return _greedy_selection(A, strategy.s)
     if isinstance(strategy, FirstS):
         drawn = np.arange(strategy.s)
     else:
@@ -528,7 +521,7 @@ def select_subset(A, strategy):
     return IndexSet(np.concatenate((drawn, np.flatnonzero(A.data.diagonal() >= 1.0))), n)
 
 
-def _greedy_selection(A, s, delta):
+def _greedy_selection(A, s):
     """Repeatedly mark the smallest-diagonal node of the partial reduction.
 
     Viable marks are eliminated immediately by :meth:`_Crout.eliminate`, so
@@ -541,7 +534,7 @@ def _greedy_selection(A, s, delta):
     E = _Crout(D, A.n - s)
     for _ in range(A.n - s):
         p = int(E.diag.argmin())
-        if not E.eliminate(p, delta):
+        if not E.eliminate(p):
             live = E.live
             order = np.lexsort((D.diagonal()[live], E.diag[live]))
             return IndexSet(live[order[live.size - s :]], A.n)

@@ -24,20 +24,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .core import NonNegativeMatrix, _coerce, one_norm, validate_stochastic
+from .core import NonNegativeMatrix, _entries, _square, one_norm, validate_stochastic
 from .errors import DimensionMismatch, EigensolverFailure
-
-def _data(M):
-    """Entries of a wrapped matrix, a raw array, or a raw scipy sparse matrix (as CSC)."""
-    if isinstance(M, NonNegativeMatrix):
-        return M.data
-    return _coerce(M) if sp.issparse(M) else np.asarray(M, dtype=np.float64)
 
 
 def _dense(M):
+    """Dense entries of a square matrix; a wrapped one's are cached."""
     if isinstance(M, NonNegativeMatrix):
         return M.dense
-    data = _data(M)
+    data = _square(_entries(M))
     return data.toarray() if sp.issparse(data) else data
 
 
@@ -125,10 +120,11 @@ def diameter_tau(A):
     Sparse non-negative input takes :func:`_sparse_diameter`; dense input
     compares each column with the ones after it.
     """
-    data = _data(A)
-    if sp.issparse(data) and not (data.data < 0).any():
-        return 0.5 * _sparse_diameter(data)
-    M = _dense(A)
+    M = _entries(A)
+    if sp.issparse(M):
+        if not (M.data < 0).any():
+            return 0.5 * _sparse_diameter(M)
+        M = M.toarray()
     n = M.shape[1]
     best = 0.0
     for j in range(n - 1):
@@ -139,7 +135,7 @@ def diameter_tau(A):
 
 
 def min_entry(A):
-    data = _data(A)
+    data = _entries(A)
     if sp.issparse(data):
         n2 = data.shape[0] * data.shape[1]
         if data.nnz < n2:
@@ -161,21 +157,17 @@ def sorted_eigenvalues(A):
 
 def inner_spectral_radius(A):
     """Modulus of the second-largest eigenvalue (0 for a 1x1 matrix)."""
-    n = _data(A).shape[0]
-    if n < 2:
-        return 0.0
     w = sorted_eigenvalues(A)
-    return float(abs(w[1]))
+    return float(abs(w[1])) if w.size > 1 else 0.0
 
 
 def spectral_gap(A):
     return 1.0 - inner_spectral_radius(A)
 
 
-def _edges(A, edge_eps=0.0):
+def _edges(data, edge_eps=0.0):
     """Edges ``i -> j`` of the transition digraph, one per entry ``a[j, i] > edge_eps``,
     in order of their source ``i``."""
-    data = _data(A)
     if sp.issparse(data):  # CSC: column i holds the edges out of i
         keep = data.data > edge_eps
         src = np.repeat(np.arange(data.shape[1]), np.diff(data.indptr))
@@ -199,8 +191,9 @@ def _labelling(A, edge_eps=0.0):
     one leaves it.  A class is a cyclic component; it is essential when no
     edge leaves it.
     """
-    src, dst = _edges(A, edge_eps)
-    n = _data(A).shape[0]
+    data = _square(_entries(A))
+    src, dst = _edges(data, edge_eps)
+    n = data.shape[0]
     _, labels = connected_components(_digraph(src, dst, n), directed=True, connection="strong")
     root = np.unique(labels, return_index=True)[1][labels]
     inside = root[src] == root[dst]
@@ -267,7 +260,7 @@ def contraction_check(A, x, y):
     """Return (||Ax - Ay||_1, tau(A) * ||x - y||_1); the first never exceeds the second."""
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
-    data = _data(A)
+    data = _entries(A)
     if xv.shape != (data.shape[1],) or yv.shape != (data.shape[1],):
         raise DimensionMismatch("vector lengths do not match the matrix")
     lhs = one_norm(data @ xv - data @ yv)

@@ -271,10 +271,6 @@ class WeightedDigraph:
     def weight(self, i, j):
         return self.weights.get((i, j), RF_ZERO)
 
-    @property
-    def edges(self):
-        return set(self.weights)
-
     def successors(self, i):
         return [j for (a, j) in self.weights if a == i]
 

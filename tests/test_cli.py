@@ -134,6 +134,23 @@ class TestBenchCommand:
         assert code in (0, 1)
 
 
+class TestCountFlags:
+    """A count below 1 is refused while parsing, with exit code 2 and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stationary", "{path}", "--p", "0"],
+        ["stationary", "{path}", "--method", "pf", "--max-iters", "0"],
+        ["bench", "--p", "0"],
+        ["bench", "--max-iters", "-3"],
+    ])
+    def test_refused_at_parse_time(self, argv, example_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([a.format(path=example_file) for a in argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a positive integer" in err and "Traceback" not in err
+
+
 class TestSymreduce:
     def test_example_graph(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"

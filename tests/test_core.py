@@ -16,7 +16,7 @@ from isored.core import (
     submatrix,
     validate_stochastic,
 )
-from isored import randgen, reduction, solvers, spectral, symbolic
+from isored import mmio, randgen, reduction, solvers, spectral, symbolic
 from isored.errors import (
     ColumnSumViolation,
     DimensionMismatch,
@@ -359,6 +359,62 @@ class TestKeptSetAdmission:
         A = rand_stochastic(np.random.default_rng(10), 5)
         with pytest.raises(DimensionMismatch):
             _KEPT_SET_ENTRIES[entry](A, _graph5(), IndexSet([0, 1], n))
+
+
+_M3 = np.array([[0.2, 0.5, 0.1], [0.3, 0.25, 0.6], [0.5, 0.25, 0.3]])
+
+_MATRIX_ENTRIES = {
+    "reduce_at": lambda A, tmp: reduction.reduce_at(A, [0, 1]),
+    "submatrix": lambda A, tmp: submatrix(A, [0, 1], [1, 2]),
+    "residual": lambda A, tmp: residual(A, np.full(3, 1 / 3)),
+    "project_columns": lambda A, tmp: project_columns(A).data,
+    "validate_stochastic": lambda A, tmp: validate_stochastic(A).data,
+    "write_matrix": lambda A, tmp: (mmio.write_matrix(tmp / "m.mtx", A),
+                                    (tmp / "m.mtx").read_text())[1],
+    "diameter_tau": lambda A, tmp: spectral.diameter_tau(A),
+    "min_entry": lambda A, tmp: spectral.min_entry(A),
+    "inner_spectral_radius": lambda A, tmp: spectral.inner_spectral_radius(A),
+    "classify": lambda A, tmp: spectral.classify(A),
+    "gershgorin": lambda A, tmp: spectral.gershgorin(A),
+    "contraction_check": lambda A, tmp: spectral.contraction_check(A, [1, 0, 0], [0, 1, 0]),
+}
+
+#: the entry points that read a rectangular matrix too
+_RECTANGULAR = {"submatrix", "write_matrix", "diameter_tau", "min_entry", "contraction_check"}
+
+_RAW = {
+    "list": lambda M: M.tolist(),
+    "csc": sp.csc_matrix,
+    "csr": sp.csr_matrix,
+    "coo": sp.coo_matrix,
+    "1-D": lambda M: M[0],
+    "2x3": lambda M: M[:2],
+}
+
+
+def _same(a, b):
+    if sp.issparse(a):
+        return sp.issparse(b) and a.format == b.format and (a != b).nnz == 0
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return a == b
+
+
+class TestMatrixAdmission:
+    """Every entry point that reads a matrix admits a raw one as its wrapped
+    twin, or refuses it with a typed error."""
+
+    @pytest.mark.parametrize("raw", sorted(_RAW))
+    @pytest.mark.parametrize("entry", sorted(_MATRIX_ENTRIES))
+    def test_raw_input(self, entry, raw, tmp_path):
+        call, A = _MATRIX_ENTRIES[entry], _RAW[raw](_M3)
+        if raw == "1-D" or (raw == "2x3" and entry not in _RECTANGULAR):
+            with pytest.raises(DimensionMismatch):
+                call(A, tmp_path)
+        elif raw == "2x3":
+            call(A, tmp_path)
+        else:
+            assert _same(call(A, tmp_path), call(StochasticMatrix(A), tmp_path))
 
 
 _STOCHASTIC_ENTRIES = {

@@ -563,6 +563,36 @@ class TestEliminateNode:
             np.testing.assert_allclose(rec1.R.dense, rec2.R.dense, atol=1e-12)
 
 
+class TestPivotMargin:
+    """``PIVOT_DELTA`` is the one viability margin of node-by-node elimination."""
+
+    NEAR = StochasticMatrix([[1 - 1e-10, 0.5, 0.3], [0.5e-10, 0.2, 0.3], [0.5e-10, 0.3, 0.4]])
+
+    @pytest.mark.parametrize("call", [lambda A: eliminate_node(A, 0),
+                                      lambda A: reduce_sequential(A, [1, 2])])
+    def test_near_absorbing_refused_alike(self, call):
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(AbsorbingPivot) as info:
+            call(self.NEAR)
+        assert type(info.value.diagonal) is float and info.value.k == 0
+        assert str(info.value) == "node 1 has diagonal 0.9999999999, too close to 1"
+        assert isinstance(info.value, NoViablePivot)
+
+    def test_one_vertex_is_absorbing(self):
+        with pytest.raises(AbsorbingPivot):
+            eliminate_node(StochasticMatrix([[1.0]]), 0)
+
+    @pytest.mark.parametrize("call", [lambda: PivotGreedy(2, delta=1e-8),
+                                      lambda: eliminate_node(averaging(3), 0, delta=1e-12),
+                                      lambda: reduce_sequential(averaging(3), [0], delta=1e-8)])
+    def test_no_delta_keyword(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_condition_of_one_elimination(self):
+        rec = eliminate_node(averaging(3), 1)
+        assert abs(rec.condition_estimate - 1.0) <= 2.3e-16
+
+
 class TestReduceSequential:
     def test_example(self, example3):
         rec = reduce_sequential(example3, IndexSet([0, 1], 3))
@@ -878,7 +908,7 @@ class TestSelectSubset:
         A = np.zeros((4, 4))
         A[0, 0] = A[1, 1] = 1.0
         A[2:, 2:] = [[0.6, 0.3], [0.4, 0.7]]
-        S = select_subset(StochasticMatrix(A), PivotGreedy(2, 1e-8))
+        S = select_subset(StochasticMatrix(A), PivotGreedy(2))
         assert S.indices == (0, 1)
 
     def test_greedy_prefers_small_diagonals(self):
