@@ -25,11 +25,14 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NegativeEntry,
+    SingularSystem,
     VectorSumViolation,
     ZeroColumn,
 )
 
 COLUMN_SUM_TOL = 1e-12
+#: negative mass a computed result may carry as rounding noise: per matrix entry, or vector share
+_NEGATIVE_SLACK = 1e-8
 #: matrices below this density are kept in CSC form by the generators and I/O
 SPARSE_DENSITY_THRESHOLD = 0.05
 
@@ -194,6 +197,22 @@ class ProbabilityVector:
         return np.array(self.values) if copy else self.values
 
 
+def _finish_stationary(v):
+    """Clip, normalize and wrap a computed stationary vector in place; refuse it
+    with :class:`SingularSystem` if its total is not finite and positive, or if
+    clipping would drop more than ``_NEGATIVE_SLACK`` of its mass (ill-conditioned)."""
+    total = v.sum()  # finite only if every entry is
+    if not (math.isfinite(total) and total > 0):
+        raise SingularSystem(f"stationary solve produced a degenerate total {total:.3e}")
+    np.maximum(v, 0.0, out=v)
+    kept = v.sum()  # equals total exactly when nothing was clipped
+    if kept - total > _NEGATIVE_SLACK * kept:
+        raise SingularSystem(f"stationary solve clipped {(kept - total) / kept:.3e} of the"
+                             f" vector's mass, above {_NEGATIVE_SLACK:.0e}: ill-conditioned")
+    v /= kept
+    return ProbabilityVector._owned(v)
+
+
 class IndexSet:
     """Sorted duplicate-free set of vertex indices inside {0, ..., n-1}.
 
@@ -328,6 +347,13 @@ def submatrix(M, rows, cols):
     if sp.issparse(data):
         return data[rows.array][:, cols.array]
     return data[np.ix_(rows.array, cols.array)]
+
+
+def _csr(shape, rows, cols, vals):
+    """CSR matrix from entries listed in non-decreasing row order."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)
 
 
 def one_norm(v):

@@ -26,6 +26,9 @@ from .core import (
 )
 from .errors import DimensionMismatch, PreconditionViolation
 
+#: gen_doubly_stochastic balances until line sums are this close to 1, or for this many rounds
+_SINKHORN_TOL, _SINKHORN_ROUNDS = 1e-14, 10_000
+
 
 @dataclass(frozen=True)
 class BurrConfig:
@@ -189,18 +192,16 @@ def gen_dense_stochastic(n, seed=0):
     return project_columns(G / G.sum(axis=0))
 
 
-def gen_doubly_stochastic(n, seed=0, tol=1e-14, max_rounds=10_000):
+def gen_doubly_stochastic(n, seed=0):
     """Symmetric positive doubly stochastic matrix via Sinkhorn balancing."""
     rng = np.random.default_rng(seed)
     M = rng.uniform(0.1, 1.0, size=(n, n))
     M = 0.5 * (M + M.T)
-    for _ in range(max_rounds):
+    for _ in range(_SINKHORN_ROUNDS):
         M /= M.sum(axis=0, keepdims=True)
         M = 0.5 * (M + M.T)
-        err = max(
-            np.abs(M.sum(axis=0) - 1.0).max(), np.abs(M.sum(axis=1) - 1.0).max()
-        )
-        if err < tol:
+        sums = np.concatenate((M.sum(axis=0), M.sum(axis=1)))
+        if np.abs(sums - 1.0).max() < _SINKHORN_TOL:
             break
     return project_columns(M)
 

@@ -23,11 +23,13 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .core import (
+    _NEGATIVE_SLACK,
     SPARSE_DENSITY_THRESHOLD,
     IndexSet,
-    ProbabilityVector,
     StochasticMatrix,
+    _csr,
     _entries,
+    _finish_stationary,
     _kept_set,
     _square,
     validate_stochastic,
@@ -39,7 +41,6 @@ from .spectral import _labelling
 SINGULAR_CONDITION = 1e14
 #: the one viability margin of node-by-node elimination: a pivot needs diagonal < 1 - PIVOT_DELTA
 PIVOT_DELTA = 1e-8
-_NEGATIVE_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,6 @@ class PivotGreedy:
 
 
 SelectionStrategy = FirstS | RandomS | PivotGreedy
-
-
-def _csr(shape, rows, cols, vals):
-    """CSR matrix from entries listed in non-decreasing row order."""
-    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((vals, cols, indptr), shape=shape)
 
 
 def _independent_set(core, rows, cols):
@@ -332,11 +326,8 @@ def _finish_stochastic(S, R_raw, lift, pivot_order, cond):
     for arr in (R_raw, lift):
         low = arr.min() if arr.size else 0.0
         if low < -_NEGATIVE_SLACK:
-            raise SingularElimination(
-                f"elimination produced negative mass {low:.3e}; shifted block"
-                " is numerically singular",
-                condition=cond,
-            )
+            raise SingularElimination(f"elimination produced negative mass {low:.3e}; shifted"
+                                      " block is numerically singular", condition=cond)
         np.maximum(arr, 0.0, out=arr)
     sums = R_raw.sum(axis=0)
     if not (sums > 0).all():
@@ -545,7 +536,7 @@ def reconstruct_stationary(rec, v_R):
     """Lift a stationary vector of the reduced matrix back to the full chain.
 
     Fills the kept coordinates with ``v_R``, the eliminated ones with
-    ``lift @ v_R``, and renormalizes onto the simplex.
+    ``lift @ v_R``, and finishes it as the solvers do (``core._finish_stationary``).
     """
     w = np.asarray(v_R, dtype=np.float64).ravel()
     if w.size != len(rec.S):
@@ -555,10 +546,5 @@ def reconstruct_stationary(rec, v_R):
     comp = rec.S.complement()
     if comp is not None:
         full[comp.array] = rec.lift @ w
-    np.maximum(full, 0.0, out=full)
-    total = full.sum()
-    if not total > 0:
-        raise ZeroColumn(0)
-    full /= total
-    return ProbabilityVector._owned(full)
+    return _finish_stationary(full)
 

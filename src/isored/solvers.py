@@ -23,7 +23,6 @@ that is not unique):
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack
 
-from .core import ProbabilityVector, residual, validate_stochastic
+from .core import ProbabilityVector, _finish_stationary, residual, validate_stochastic
 from .errors import NoConvergence, SingularSystem
 from .reduction import (
     RandomS,
@@ -49,6 +48,8 @@ DIRECT_SIZE_LIMIT = 2000
 MAX_REDUCTION_ATTEMPTS = 5
 #: an LU whose reciprocal condition estimate falls below this warns
 _EPS = np.finfo(np.float64).eps
+#: estimate_inner_radius's step budget, averaging window and settling tolerance
+_RADIUS_ITERS, _RADIUS_WINDOW, _RADIUS_RTOL = 400, 60, 0.05
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,6 @@ class SolveOutcome:
         return "max_iters_exceeded" not in self.flags
 
 
-def _random_simplex_point(n, rng):
-    # normalized iid exponentials are uniform on the simplex
-    w = rng.exponential(size=n)
-    return w / w.sum()
-
-
 def perron_frobenius(A, cfg=SolverConfig()):
     """Iterate ``v <- A v`` until the squared update is below ``10**(-2p)``.
 
@@ -103,8 +98,8 @@ def perron_frobenius(A, cfg=SolverConfig()):
     A = validate_stochastic(A)
     start = time.perf_counter()
     _essential_root(A)
-    rng = np.random.default_rng(cfg.seed)
-    v = _random_simplex_point(A.n, rng)
+    v = np.random.default_rng(cfg.seed).exponential(size=A.n)
+    v /= v.sum()  # normalized iid exponentials are uniform on the simplex
     data = A.data.tocsr() if A.is_sparse else A.data
     tol2 = 10.0 ** (-2 * cfg.p)
     flags = ()
@@ -118,11 +113,11 @@ def perron_frobenius(A, cfg=SolverConfig()):
             break
     else:
         flags = ("max_iters_exceeded",)
-    v /= v.sum()  # v is the last product, a fresh array
+    v = _finish_stationary(v)  # v is the last product, a fresh array
     return SolveOutcome(
-        v=ProbabilityVector._owned(v),
+        v=v,
         iterations=iterations,
-        residual=residual(A, v),
+        residual=residual(A, v.values),
         wall_time=time.perf_counter() - start,
         method="pf",
         flags=flags,
@@ -176,7 +171,8 @@ def direct_stationary(A):
     ``v`` is folded back level by level, ``v[P] = W v`` as one ``bincount``
     over the entries of the level's ``W``.  Either way a reciprocal condition
     estimate below machine epsilon warns with ``LinAlgWarning``, and the
-    clipped, normalized vector must leave a residual of at most 1e-6.
+    vector, finished by :func:`core._finish_stationary`, must leave a
+    residual of at most 1e-6.
     """
     A = validate_stochastic(A)
     start = time.perf_counter()
@@ -201,16 +197,12 @@ def direct_stationary(A):
     if rcond < _EPS:
         warnings.warn(f"ill-conditioned fixed-point system (rcond={rcond:.3e})",
                       LinAlgWarning, stacklevel=2)
-    total = v.sum()  # finite only if every entry is
-    if not (math.isfinite(total) and total > 0):
-        raise SingularSystem("fixed-point solve produced a degenerate solution")
-    np.maximum(v, 0.0, out=v)
-    v /= v.sum()
-    res = residual(A, v)
+    v = _finish_stationary(v)
+    res = residual(A, v.values)
     if not res <= 1e-6:  # nan fails too
         raise SingularSystem(f"fixed-point residual {res:.3e} exceeds 1e-6")
     return SolveOutcome(
-        v=ProbabilityVector._owned(v),
+        v=v,
         iterations=0,
         residual=res,
         wall_time=time.perf_counter() - start,
@@ -218,7 +210,7 @@ def direct_stationary(A):
     )
 
 
-def estimate_inner_radius(A, v_star, seed=0, max_iters=400, window=60, rtol=0.05):
+def estimate_inner_radius(A, v_star, seed=0):
     """Growth-rate estimate of the second-largest eigenvalue modulus.
 
     Runs power iteration on the zero-sum hyperplane with the dominant
@@ -234,29 +226,25 @@ def estimate_inner_radius(A, v_star, seed=0, max_iters=400, window=60, rtol=0.05
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x -= x.mean()
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        return 0.0
-    x /= nx
+    x /= np.linalg.norm(x)  # not 0: n >= 2 normal draws are not all equal
     data = A.data.tocsr() if A.is_sparse else A.data
     log_rates = []
-    for _ in range(max_iters):
+    for _ in range(_RADIUS_ITERS):
         y = data @ x - vs * x.sum()
         r = np.linalg.norm(y)
         if r < 1e-300:
             return 0.0
         x = y / r
         log_rates.append(np.log(r))
-        if len(log_rates) >= 2 * window:
-            recent = np.exp(np.mean(log_rates[-window:]))
-            earlier = np.exp(np.mean(log_rates[-2 * window : -window]))
-            if abs(recent - earlier) <= rtol * max(recent, 1e-12):
+        if len(log_rates) >= 2 * _RADIUS_WINDOW:
+            recent = np.exp(np.mean(log_rates[-_RADIUS_WINDOW:]))
+            earlier = np.exp(np.mean(log_rates[-2 * _RADIUS_WINDOW : -_RADIUS_WINDOW]))
+            if abs(recent - earlier) <= _RADIUS_RTOL * max(recent, 1e-12):
                 return float(recent)
-    tail = np.exp(np.mean(log_rates[-window:]))
-    head = np.exp(np.mean(log_rates[-2 * window : -window])) if len(log_rates) >= 2 * window else None
-    if head is not None and abs(tail - head) <= 2 * rtol * max(tail, 1e-12):
-        return float(tail)
-    raise NoConvergence(f"growth-rate estimate did not settle (last {tail:.4f})")
+    # the budget outlasts two windows, so the last step compared two full ones
+    if abs(recent - earlier) <= 2 * _RADIUS_RTOL * max(recent, 1e-12):
+        return float(recent)
+    raise NoConvergence(f"growth-rate estimate did not settle (last {recent:.4f})")
 
 
 def isospectral_stationary(A, cfg=SolverConfig()):

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .core import NonNegativeMatrix, _entries, _square, one_norm, validate_stochastic
+from .core import NonNegativeMatrix, _csr, _entries, _square, one_norm, validate_stochastic
 from .errors import DimensionMismatch, EigensolverFailure
 
 
@@ -175,12 +175,6 @@ def _edges(data, edge_eps=0.0):
     return np.divmod(np.flatnonzero(data.T > edge_eps), data.shape[0])
 
 
-def _digraph(src, dst, n):
-    """CSR adjacency of edges sorted by source."""
-    indptr = np.searchsorted(src, np.arange(n + 1))
-    return sp.csr_array((np.ones(src.size), dst, indptr), shape=(n, n))
-
-
 def _labelling(A, edge_eps=0.0):
     """One strong-components labelling of the positive-entry digraph.
 
@@ -194,7 +188,8 @@ def _labelling(A, edge_eps=0.0):
     data = _square(_entries(A))
     src, dst = _edges(data, edge_eps)
     n = data.shape[0]
-    _, labels = connected_components(_digraph(src, dst, n), directed=True, connection="strong")
+    graph = _csr((n, n), src, dst, np.ones(src.size))  # edges come in source order
+    _, labels = connected_components(graph, directed=True, connection="strong")
     root = np.unique(labels, return_index=True)[1][labels]
     inside = root[src] == root[dst]
     cyclic = np.zeros(n, dtype=bool)
@@ -221,7 +216,8 @@ def classify(A, edge_eps=0.0):
     # edges u -> v, where level is the breadth-first distance from the class's
     # smallest member along edges inside classes (Denardo 1977); an edge
     # between classes would mix two searches
-    level = dijkstra(_digraph(src_in, dst_in, n), indices=roots, min_only=True, unweighted=True)
+    inner = _csr((n, n), src_in, dst_in, np.ones(src_in.size))
+    level = dijkstra(inner, indices=roots, min_only=True, unweighted=True)
     periods = np.zeros(n, dtype=np.int64)
     np.gcd.at(periods, owner, (level[src_in] + 1 - level[dst_in]).astype(np.int64))
 

@@ -14,6 +14,7 @@ from isored.errors import (
     DimensionMismatch,
     NoViablePivot,
     SingularElimination,
+    SingularSystem,
 )
 from isored.randgen import (
     BurrConfig,
@@ -35,8 +36,8 @@ from isored.reduction import (
     reduce_sequential,
     select_subset,
 )
-from isored.core import SPARSE_DENSITY_THRESHOLD
-from isored.reduction import _csr, _finish_stochastic, _independent_set, _peel
+from isored.core import SPARSE_DENSITY_THRESHOLD, _csr
+from isored.reduction import _finish_stochastic, _independent_set, _peel
 from isored.solvers import SolverConfig, _essential_root, direct_stationary, isospectral_stationary
 from isored.spectral import classify, diameter_tau, min_entry
 
@@ -960,6 +961,38 @@ class TestReconstruct:
         rec = reduce_block(example3, IndexSet([0, 1], 3))
         with pytest.raises(DimensionMismatch):
             reconstruct_stationary(rec, [1.0])
+
+    # vertex 0 is transient and kept, so its reduced mass is 0, and a solve
+    # of R may return it slightly negative; the lift keeps the rest positive
+    TRANSIENT = StochasticMatrix([[0.0, 0.0, 0.0, 0.0], [0.4, 0.2, 0.3, 0.5],
+                                  [0.3, 0.5, 0.3, 0.1], [0.3, 0.3, 0.4, 0.4]])
+
+    def _lifted(self, eps):
+        rec = reduce_block(self.TRANSIENT, IndexSet([0, 1], 4))
+        w = np.array([-eps, 1.0])
+        full = np.empty(4)
+        full[[0, 1]], full[[2, 3]] = w, rec.lift @ w
+        assert full[0] < 0 < full[1:].min()
+        return rec, w, full
+
+    def test_clip_below_bound_is_unchanged(self):
+        rec, w, full = self._lifted(0.9e-8 * 2.95)  # the lifted vector's mass is about 2.95
+        assert 0.8e-8 < -full[0] / full[1:].sum() < 1e-8
+        expected = np.maximum(full, 0.0)
+        np.testing.assert_array_equal(reconstruct_stationary(rec, w).values,
+                                      expected / expected.sum())
+
+    def test_clip_above_bound_is_refused(self):
+        rec, w, full = self._lifted(1.1e-8 * 2.95)
+        assert 1e-8 < -full[0] / full[1:].sum() < 1.2e-8
+        with pytest.raises(SingularSystem, match="clipped"):
+            reconstruct_stationary(rec, w)
+
+    @pytest.mark.parametrize("w", [[0.0, 0.0], [-0.5, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_degenerate_total_is_refused(self, example3, w):
+        rec = reduce_block(example3, IndexSet([0, 1], 3))
+        with pytest.raises(SingularSystem, match="degenerate total"):
+            reconstruct_stationary(rec, w)
 
 
 class TestGershgorinShrinks:

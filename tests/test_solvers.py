@@ -33,6 +33,8 @@ from isored.spectral import _labelling
 from conftest import averaging, banded_csc, rand_stochastic
 
 TWO_STATE = StochasticMatrix([[0, 0.9], [1, 0.1]])
+#: the refusal of the one finish names the share of the mass it would clip
+CLIPPED = r"clipped \d\.\d{3}e-\d\d of the vector's mass"
 
 
 class TestPerronFrobenius:
@@ -329,8 +331,8 @@ def gth_cases():
 
     Both routes are off the reference by more than 1e-9 (L1) on these, which
     are left unasserted for the fixes to come: burr-paper 36/5 (direct
-    7.0e-6, scheme 1.05e-6), 1005/14 (direct 6.3e-5, scheme 2.0e-4) and CSC
-    ``make_banded(1000, 2, 1)`` (direct 1.4e-8).
+    7.0e-6, scheme 1.05e-6) and 1005/14 (direct 6.3e-5, scheme 2.0e-4).
+    The banded chains that fail are in :class:`TestBandedRefusals`.
     """
     cases = {
         "burr-paper 1/0": _trial_inputs(RunConfig(seed=1), 0),
@@ -440,11 +442,75 @@ class TestSparseDirect:
 
     def test_ill_conditioned_core_warns(self):
         # a graded birth-death chain: the peel is exact, but the replaced
-        # system loses every digit (L1 2.0 to detailed balance at residual
-        # 1e-17); SuperLU said nothing
+        # system loses every digit (clipped, it was 2.0 in L1 from detailed
+        # balance at residual 1e-17); SuperLU said nothing
         A = banded_csc(5000, 2, 3)
         with pytest.warns(LinAlgWarning, match="ill-conditioned"):
-            direct_stationary(A)
+            with pytest.raises(SingularSystem, match=CLIPPED):
+                direct_stationary(A)
+
+
+class TestBandedRefusals:
+    """Graded birth-death chains the solves cannot resolve are refused, not
+    clipped.  Still unasserted: ``direct`` on CSC ``make_banded(5000, 2, 1)``
+    clips nothing and is 4.0e-4 (L1) from detailed balance, and on
+    ``make_banded(1000, 2, 1)`` 1.4e-8."""
+
+    def test_scheme_on_5000_2_3(self):
+        # R's solve would clip about a tenth of its mass
+        A = banded_csc(5000, 2, 3)
+        with pytest.warns(LinAlgWarning, match="ill-conditioned"):
+            with pytest.raises(SingularSystem, match=CLIPPED):
+                isospectral_stationary(A, SolverConfig(strategy=RandomS(500, 1)))
+
+    def test_scheme_on_5000_2_1(self):
+        # no warning here: rcond stays above eps, and R's solve would clip 4.9e-5
+        A = banded_csc(5000, 2, 1)
+        with pytest.raises(SingularSystem, match=CLIPPED):
+            isospectral_stationary(A, SolverConfig(strategy=RandomS(500, 1)))
+
+
+class TestFinishBound:
+    """A clipped share just below ``_NEGATIVE_SLACK`` (1e-8) comes out as it
+    always did; just above, the solve is refused."""
+
+    # vertex 0 is transient, so its stationary mass is 0: the solve may
+    # return it slightly negative
+    A = StochasticMatrix([[0.0, 0.0, 0.0], [0.5, 0.3, 0.6], [0.5, 0.7, 0.4]])
+
+    def _solved(self, monkeypatch, eps):
+        v = np.array([-eps, 6 / 13, 7 / 13])
+        monkeypatch.setattr(solvers, "_lu_solve", lambda M, rhs: (v.copy(), 1.0))
+        return v
+
+    def test_direct_below_bound(self, monkeypatch):
+        v = self._solved(monkeypatch, 0.9e-8)
+        w = np.maximum(v, 0.0)  # the finish as it was: clip, then divide by the clipped sum
+        np.testing.assert_array_equal(direct_stationary(self.A).v.values, w / w.sum())
+
+    def test_direct_above_bound(self, monkeypatch):
+        self._solved(monkeypatch, 1.1e-8)
+        with pytest.raises(SingularSystem, match=CLIPPED):
+            direct_stationary(self.A)
+
+    @pytest.mark.parametrize("total", [0.0, -1.0, np.nan, np.inf])
+    def test_direct_degenerate_total(self, monkeypatch, total):
+        monkeypatch.setattr(solvers, "_lu_solve",
+                            lambda M, rhs: (np.array([0.0, total, 0.0]), 1.0))
+        with pytest.raises(SingularSystem, match="degenerate total"):
+            direct_stationary(self.A)
+
+    def test_pf_divides_by_its_sum(self):
+        # power iteration on a non-negative chain clips nothing: the finish is
+        # the division by the last product's sum, bit for bit
+        A = gen_dense_stochastic(12, seed=4)
+        cfg = SolverConfig(p=6, seed=5)
+        out = perron_frobenius(A, cfg)
+        v = np.random.default_rng(cfg.seed).exponential(size=A.n)
+        v /= v.sum()
+        for _ in range(out.iterations):
+            v = A.data @ v
+        np.testing.assert_array_equal(out.v.values, v / v.sum())
 
 
 class TestEstimateInnerRadius:
